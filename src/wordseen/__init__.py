@@ -3,7 +3,6 @@
 from .core import (
     BinaryWord,
     Embedding,
-    ReachFrontier,
     SequencePrefix,
     SpacingProfile,
     alternating_seen_by_spacings,

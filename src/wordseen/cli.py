@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its flags.  Exact values print as
 num/den plus a 12-digit decimal; --format picks csv (default) or json, --out
 redirects to a file.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+error or resource limit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .core import BinaryWord, make_word
 from .exactprob import (
+    StateCapExceeded,
     exact_seen_probability,
     exhaustive_seen_probability,
     max_word_probability,
@@ -121,26 +122,9 @@ def cmd_vn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "thm1a":
-        res = sweeps.sweep_max_word(args.M if args.M else 2,
-                                    args.n if args.n else 8)
-    elif args.suite == "thm1b":
-        res = sweeps.sweep_two_block_chain(total_max=args.n if args.n else 10)
-    elif args.suite == "thm3":
-        if args.n is not None and args.n > 7:
-            raise UsageError("thm3 enumerates all 2^(n*M) prefixes; --n tops "
-                             "out at 7")
-        res = sweeps._thm3_combined() if args.n is None else _thm3_at(args.n)
-    elif args.suite == "thm4":
-        res = sweeps.sweep_second_moment()
-    elif args.suite == "lemma43":
-        res = sweeps.sweep_polynomial_certificates()
-    elif args.suite == "renewal":
-        res = sweeps.sweep_renewal_facts(args.M if args.M else 6,
-                                         args.N if args.N else 100)
-    else:
-        res = sweeps.sweep_couplings(args.trials if args.trials else 10 ** 4,
-                                     args.seed)
+    flags = {flag: getattr(args, flag) for flag in ("M", "n", "N", "trials", "seed")
+             if getattr(args, flag) is not None}
+    res = sweeps.run_suite(args.suite, **flags)
     lines = [res.name] + res.details
     lines.append("PASS" if res.ok else
                  f"FAIL ({res.counterexample or 'see details'})")
@@ -151,16 +135,6 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     return 0 if res.ok else 1
-
-
-def _thm3_at(n_max: int):
-    first = sweeps.sweep_spacing_equivalences(n_max=n_max)
-    second = sweeps.worked_four_letter_example()
-    merged = sweeps.SweepResult(f"spacing characterizations n <= {n_max}")
-    merged.ok = first.ok and second.ok
-    merged.details = first.details + second.details
-    merged.counterexample = first.counterexample or second.counterexample
-    return merged
 
 
 def cmd_exact(args) -> int:
@@ -196,11 +170,11 @@ def cmd_maxword(args) -> int:
 
 def cmd_cm(args) -> int:
     c = growth_constant(args.M, tol=args.tol)
+    value = _dec(c.by_bisection)
     header = ["M", "c", "by_bisection", "by_ratio", "tol"]
     _emit(args, header,
-          [[args.M, _dec(c.value), _dec(c.by_bisection), _dec(c.by_ratio),
-            repr(args.tol)]],
-          {"M": args.M, "c": _dec(c.value), "by_bisection": _dec(c.by_bisection),
+          [[args.M, value, value, _dec(c.by_ratio), repr(args.tol)]],
+          {"M": args.M, "c": value, "by_bisection": value,
            "by_ratio": _dec(c.by_ratio), "tol": repr(args.tol)})
     return 0
 
@@ -292,14 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", parents=[common],
                                help="run an invariant suite")
-    p_verify.add_argument("suite", choices=("thm1a", "thm1b", "thm3", "thm4",
-                                            "lemma43", "renewal", "coupling"))
+    p_verify.add_argument("suite", choices=tuple(sweeps.SUITES))
     p_verify.add_argument("--M", type=_positive)
     p_verify.add_argument("--n", type=_positive)
     p_verify.add_argument("--N", type=_positive)
     p_verify.add_argument("--trials", type=_positive)
-    p_verify.add_argument("--seed", type=int, default=20240817)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_exact = subs.add_parser("exact", parents=[common],
@@ -377,6 +349,8 @@ def main(argv=None) -> int:
         parser.error(str(err))
     except (ValueError, KeyError) as err:
         parser.error(str(err))
+    except StateCapExceeded as err:
+        parser.exit(2, f"{parser.prog}: resource limit: {err}\n")
 
 
 if __name__ == "__main__":

@@ -223,7 +223,7 @@ class SpacingProfile:
 
 
 # ---------------------------------------------------------------------------
-# reachability frontier and the seen decision
+# the seen decision
 # ---------------------------------------------------------------------------
 
 def _advance(members: frozenset[tuple[int, int]], letter: int, letters: Bits,
@@ -241,66 +241,66 @@ def _advance(members: frozenset[tuple[int, int]], letter: int, letters: Bits,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ReachFrontier:
-    """Streaming reachability state: pairs (k, age) for embeddable prefixes.
+def _pack(bits: Bits) -> int:
+    """A prefix as the integer seen_packed takes (bit m-1 = Y_m)."""
+    return int("".join(map(str, reversed(bits))) or "0", 2)
 
-    (k, d) present means the length-k prefix of the word has an admissible
-    embedding ending d letters before the current point; members with
-    d = M - 1 drop out on the next step instead of aging further.
+
+def _letter_masks(y: int, L: int) -> tuple[int, int]:
+    """Bitsets of the positions m in 1..L (bit m) where Y_m = 0 and Y_m = 1."""
+    full = (1 << (L + 1)) - 2
+    ones = (y << 1) & full
+    return ones ^ full, ones
+
+
+def _smear_steps(M: int) -> list[int]:
+    """Shifts whose successive `x |= x << s` make x cover offsets 0..M-1.
+
+    Each step doubles the covered width until the last one tops it up to M,
+    so there are O(log M) of them.
     """
+    steps = []
+    width = 1
+    while width < M:
+        step = min(width, M - width)
+        steps.append(step)
+        width += step
+    return steps
 
-    members: frozenset[tuple[int, int]]
 
-    @classmethod
-    def initial(cls) -> "ReachFrontier":
-        return cls(frozenset({(0, 0)}))
+def seen_packed(letters: Bits, y: int, L: int, M: int) -> bool:
+    """Does the word embed inside a prefix packed as an integer (bit m-1 = Y_m)?
 
-    def advance(self, letter: int, word: BinaryWord, M: int,
-                origin_cap: int | None = None) -> "ReachFrontier":
-        _check_window(M)
-        cap = M if origin_cap is None else origin_cap
-        return ReachFrontier(_advance(self.members, letter, word.letters, M, cap))
-
-    def accepts(self, n: int) -> bool:
-        return any(k == n for k, _ in self.members)
-
-    def is_dead(self) -> bool:
-        return not self.members
+    The package's one scalar reachability kernel.  After k letters, bit m of
+    `reach` says the length-k prefix of the word can end at position m (bit
+    0 is the origin); the next letter smears it over the M positions after
+    each set bit and keeps the positions that show that letter.
+    """
+    masks = _letter_masks(y, L)
+    steps = _smear_steps(M)
+    reach = 1
+    for letter in letters:
+        for s in steps:
+            reach |= reach << s
+        reach = (reach << 1) & masks[letter]
+        if not reach:
+            return False
+    return True
 
 
 def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:
     """Does the word have an admissible embedding inside this prefix?
 
     No horizon requirement: a True answer certifies an embedding, a False
-    answer only says there is none within the letters given.  Runs in
-    O(n * L) independent of M (sliding window count), so it stays usable
-    for the very wide windows the coupling chain produces.
+    answer only says there is none within the letters given.  Runs the
+    bitset kernel seen_packed: n letters of O(log M) shifts on (L + M)-bit
+    integers, so it stays usable for the very wide windows the coupling
+    chain produces.
     """
     w = as_word(word)
     y = as_prefix(prefix)
     _check_window(M)
-    n, L = w.n, len(y)
-    if n == 0:
-        return True
-    prev = [False] * (L + 1)
-    prev[0] = True
-    for k in range(n):
-        target = w.letters[k]
-        cur = [False] * (L + 1)
-        window = 0
-        hit = False
-        for m in range(1, L + 1):
-            window += prev[m - 1]
-            if m - M - 1 >= 0:
-                window -= prev[m - M - 1]
-            if window and y.bits[m - 1] == target:
-                cur[m] = True
-                hit = True
-        if not hit:
-            return False
-        prev = cur
-    return True
+    return seen_packed(w.letters, _pack(y.bits), len(y), M)
 
 
 def is_m_seen(word: WordLike, prefix: PrefixLike, M: int) -> bool:
@@ -332,43 +332,35 @@ def standard_embedding(word: WordLike, prefix: PrefixLike, M: int) -> Embedding 
         raise ValueError(
             f"prefix of length {len(y)} cannot decide a word of length {w.n} "
             f"with window {M}; need at least {w.n * M} letters")
-    n, L = w.n, len(y)
-    if n == 0:
-        return Embedding((), M)
+    masks = _letter_masks(_pack(y.bits), len(y))
+    steps = _smear_steps(M)
 
-    # feas[k][m] (1-indexed m): prefix w_1..w_k can end at m and the rest of
-    # the word still embeds somewhere after m.
-    feas = [[False] * (L + 1) for _ in range(n + 1)]
-    for m in range(1, L + 1):
-        feas[n][m] = y.bits[m - 1] == w.letters[n - 1]
-    for k in range(n - 1, 0, -1):
-        window = 0  # number of True entries of feas[k+1] in (m, m+M]
-        for m in range(L, 0, -1):
-            if m + 1 <= L and feas[k + 1][m + 1]:
-                window += 1
-            if m + M + 1 <= L and feas[k + 1][m + M + 1]:
-                window -= 1
-            feas[k][m] = window > 0 and y.bits[m - 1] == w.letters[k - 1]
+    # feas[k-1], bit m: prefix w_1..w_k can end at m and the rest of the word
+    # still embeds after m.  The right-shift smear mirrors seen_packed's.
+    feas = [masks[letter] for letter in w.letters]
+    for k in range(w.n - 2, -1, -1):
+        later = feas[k + 1] >> 1
+        for s in steps:
+            later |= later >> s
+        feas[k] &= later
 
     positions = []
     cur = 0
-    for k in range(1, n + 1):
-        nxt = None
-        for m in range(cur + 1, min(cur + M, L) + 1):
-            if feas[k][m]:
-                nxt = m
-                break
-        if nxt is None:
+    for bits in feas:
+        window = bits & (((1 << M) - 1) << (cur + 1))
+        if not window:
             return None
-        positions.append(nxt)
-        cur = nxt
+        cur = (window & -window).bit_length() - 1
+        positions.append(cur)
     return Embedding(tuple(positions), M)
 
 
 def enumerate_embeddings(word: WordLike, prefix: PrefixLike, M: int) -> Iterator[tuple[int, ...]]:
-    """Yield every admissible embedding inside the prefix, lexicographic order.
+    """Oracle: yield every admissible embedding inside the prefix, in
+    lexicographic order.
 
-    Brute force; meant as an oracle at small sizes.
+    Brute-force recursion that shares no code with seen_packed; the tests
+    check the kernel and standard_embedding against it at small sizes.
     """
     w = as_word(word)
     y = as_prefix(prefix)
@@ -458,27 +450,8 @@ def s_sequence(profile: SpacingProfile, M: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# packed-bits fast path for exhaustive sweeps
+# embedding counts for exhaustive sweeps
 # ---------------------------------------------------------------------------
-
-def seen_packed(letters: Bits, y: int, L: int, M: int) -> bool:
-    """seen_within for a prefix packed as an integer (bit m-1 = Y_m)."""
-    n = len(letters)
-    if n == 0:
-        return True
-    ones = y << 1  # bit m set iff Y_m = 1
-    posmask = ((1 << (L + 1)) - 1) & ~1
-    reach = 1  # bit 0 = origin
-    for k in range(n):
-        allowed = (ones if letters[k] else ~ones) & posmask
-        spread = 0
-        for g in range(1, M + 1):
-            spread |= reach << g
-        reach = spread & allowed
-        if reach == 0:
-            return False
-    return True
-
 
 def count_embeddings_packed(letters: Bits, y: int, L: int, M: int) -> int:
     """Number of admissible embeddings inside a packed prefix."""

@@ -150,8 +150,9 @@ def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
 
 
 def exhaustive_seen_probability(word: WordLike, M: int, max_bits: int = 24) -> Fraction:
-    """Brute-force oracle: average the seen indicator over all 2^(n*M)
-    equally likely prefixes.  Fair letters only."""
+    """Oracle: average the seen indicator over all 2^(n*M) equally likely
+    prefixes, one seen_packed scan each.  Fair letters only; it shares no
+    code with the automaton it cross-checks."""
     w = as_word(word)
     _check_window(M)
     L = w.n * M

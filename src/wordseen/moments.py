@@ -243,13 +243,13 @@ def visits_moment_bruteforce(M: int, n: int) -> Fraction:
 class GrowthConstant:
     """c_M > 1 with E(c^-tau) = 1/2, tau the meeting-time of the two walks.
 
-    value comes from bisection on U(x) = sum u_n x^n = 2 (the first-meeting
-    generating function is F = 1 - 1/U, so U(1/c) = 2 is the same equation);
-    by_ratio tracks the decreasing ratios V_{n+1}/V_n to the same limit.
+    by_bisection solves U(x) = sum u_n x^n = 2 (the first-meeting generating
+    function is F = 1 - 1/U, so U(1/c) = 2 is the same equation) and is the
+    value to use; by_ratio tracks the decreasing ratios V_{n+1}/V_n to the
+    same limit.
     """
 
     M: int
-    value: float
     by_bisection: float
     by_ratio: float
     tol: float
@@ -337,6 +337,6 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
         if n > max_terms:
             raise RuntimeError(f"ratio iteration did not settle within {max_terms} steps")
 
-    out = GrowthConstant(M, by_bisection, by_bisection, by_ratio, tol)
-    assert out.value > 1
+    out = GrowthConstant(M, by_bisection, by_ratio, tol)
+    assert out.by_bisection > 1
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -25,20 +25,18 @@ from .core import (
     seen_within,
 )
 
-_GENERATORS = ("pcg64",)
+# Sequence letters drawn and scored per batch.  Estimates draw their trials
+# in row chunks of at most this many letters, so memory stays bounded
+# whatever `trials` is; Generator.random fills rows in order, so the stream
+# and every estimate are the same as for one draw of all rows.
+_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
 class RngConfig:
-    """Root seed plus generator family; substreams fork off by integer keys."""
+    """Root seed of a PCG64 family; substreams fork off by integer keys."""
 
     seed: int
-    generator: str = "pcg64"
-
-    def __post_init__(self) -> None:
-        if self.generator not in _GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}, "
-                             f"expected one of {_GENERATORS}")
 
     def stream(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(key))
@@ -81,6 +79,13 @@ def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
     return reach.any(axis=1)
 
 
+def _chunk_rows(trials: int, width: int) -> Iterator[int]:
+    """Row counts of successive batches of at most _CHUNK_CELLS letters."""
+    step = max(1, _CHUNK_CELLS // width)
+    for start in range(0, trials, step):
+        yield min(step, trials - start)
+
+
 @dataclass(frozen=True)
 class SeenEstimate:
     """Monte Carlo estimate with its binomial standard error."""
@@ -113,9 +118,11 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
         hits = trials
     else:
         L = w.n * M
-        ys = (gen.random((trials, L)) < p).astype(np.uint8)
-        words = np.tile(np.array(w.letters, dtype=np.uint8), (trials, 1))
-        hits = int(batch_seen(words, ys, M).sum())
+        letters = np.array(w.letters, dtype=np.uint8)
+        hits = 0
+        for rows in _chunk_rows(trials, L):
+            ys = (gen.random((rows, L)) < p).astype(np.uint8)
+            hits += int(batch_seen(np.tile(letters, (rows, 1)), ys, M).sum())
     est = hits / trials
     stderr = math.sqrt(est * (1 - est) / trials)
     return SeenEstimate(str(w), M, float(p), trials, est, stderr, rng.seed)
@@ -156,9 +163,11 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
     if n == 0:
         hits = trials
     else:
-        words = (gen_x.random((trials, n)) < p_x).astype(np.uint8)
-        ys = (gen_y.random((trials, n * M)) < p_y).astype(np.uint8)
-        hits = int(batch_seen(words, ys, M).sum())
+        hits = 0
+        for rows in _chunk_rows(trials, n * M):
+            words = (gen_x.random((rows, n)) < p_x).astype(np.uint8)
+            ys = (gen_y.random((rows, n * M)) < p_y).astype(np.uint8)
+            hits += int(batch_seen(words, ys, M).sum())
     est = hits / trials
     stderr = math.sqrt(est * (1 - est) / trials)
     return CrossEstimate(M, float(p_x), float(p_y), n, trials, est, stderr, rng.seed)
@@ -212,9 +221,10 @@ def red_grid(x: WordLike, y: Union[SequencePrefix, str, Sequence[int]]) -> RedGr
 
 
 def admissible_path_exists(grid: RedGrid, M: int) -> bool:
-    """Is there a red path (0,0), (1,m_1), ..., (n,m_n) with column gaps in
-    [1, M]?  Equivalent to the word being M-seen in the sequence when the
-    grid is wide enough to decide it."""
+    """Oracle: is there a red path (0,0), (1,m_1), ..., (n,m_n) with column
+    gaps in [1, M]?  Equivalent to the word being M-seen in the sequence
+    when the grid is wide enough to decide it; a numpy row scan kept apart
+    from seen_packed so the two can be checked against each other."""
     _check_window(M)
     n = grid.rows - 1
     L = grid.cols - 1

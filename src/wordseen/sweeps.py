@@ -418,16 +418,16 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100, z_n_max: int = 5,
         if abs(val - 4 / 3) > 1e-9:
             res.fail(f"c_2 by {label} = {val!r} misses 4/3 by more than 1e-9")
     c1 = growth_constant(1, tol=1e-9)
-    if abs(c1.value - 2) > 1e-9:
-        res.fail(f"c_1 = {c1.value!r} misses 2 by more than 1e-9")
+    if abs(c1.by_bisection - 2) > 1e-9:
+        res.fail(f"c_1 = {c1.by_bisection!r} misses 2 by more than 1e-9")
     for M in range(2, M_max + 1):
         c = growth_constant(M, tol=c_tol)
-        if not c.value > 1:
-            res.fail(f"M={M}: growth constant {c.value} not above 1")
+        if not c.by_bisection > 1:
+            res.fail(f"M={M}: growth constant {c.by_bisection} not above 1")
         if abs(c.by_bisection - c.by_ratio) > 10 * c_tol:
             res.fail(f"M={M}: growth constant methods disagree: "
                      f"{c.by_bisection} vs {c.by_ratio}")
-        res.note(f"M={M}: c = {c.value:.9f}")
+        res.note(f"M={M}: c = {c.by_bisection:.9f}")
     return res
 
 
@@ -549,28 +549,46 @@ def red_grid_equivalence(cases: int = 1000, seed: int = 20240819) -> SweepResult
     return res
 
 
-SUITES = {
-    "thm1a": lambda: sweep_max_word(2, 8),
-    "thm1b": lambda: sweep_two_block_chain(),
-    "thm3": lambda: _thm3_combined(),
-    "thm4": lambda: sweep_second_moment(),
-    "lemma43": lambda: sweep_polynomial_certificates(),
-    "renewal": lambda: sweep_renewal_facts(),
-    "coupling": lambda: sweep_couplings(),
-}
-
-
-def _thm3_combined() -> SweepResult:
-    first = sweep_spacing_equivalences()
+def _thm3_combined(n_max: int | None = None) -> SweepResult:
+    if n_max is None:
+        first = sweep_spacing_equivalences()
+        merged = SweepResult("spacing characterizations + worked example")
+    else:
+        if n_max > 7:
+            raise ValueError("thm3 enumerates all 2^(n*M) prefixes; --n tops "
+                             "out at 7")
+        first = sweep_spacing_equivalences(n_max=n_max)
+        merged = SweepResult(f"spacing characterizations n <= {n_max}")
     second = worked_four_letter_example()
-    merged = SweepResult("spacing characterizations + worked example")
     merged.ok = first.ok and second.ok
     merged.details = first.details + second.details
     merged.counterexample = first.counterexample or second.counterexample
     return merged
 
 
-def run_suite(name: str) -> SweepResult:
+# suite name -> (function name, {flag: keyword argument}) for `wordseen
+# verify`; a flag missing from a suite's map is one that suite does not take.
+# Functions are looked up by name when a suite runs, so a wrapper rebound to
+# the module attribute (perfbench's tracer, a test's monkeypatch) is called.
+SUITES = {
+    "thm1a": ("sweep_max_word", {"M": "M", "n": "n_max"}),
+    "thm1b": ("sweep_two_block_chain", {"n": "total_max"}),
+    "thm3": ("_thm3_combined", {"n": "n_max"}),
+    "thm4": ("sweep_second_moment", {}),
+    "lemma43": ("sweep_polynomial_certificates", {}),
+    "renewal": ("sweep_renewal_facts", {"M": "M_max", "N": "N"}),
+    "coupling": ("sweep_couplings", {"trials": "samples", "seed": "seed"}),
+}
+
+
+def run_suite(name: str, **flags) -> SweepResult:
+    """Run a suite with the given flags; a flag it does not take is an error."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    return SUITES[name]()
+    fn_name, accepted = SUITES[name]
+    extra = sorted(set(flags) - set(accepted))
+    if extra:
+        raise ValueError(f"suite {name} does not take "
+                         + ", ".join(f"--{flag}" for flag in extra))
+    return globals()[fn_name](**{accepted[flag]: value
+                                 for flag, value in flags.items()})

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from wordseen import cli, sweeps
 from wordseen.cli import main
+from wordseen.exactprob import StateCapExceeded
 
 
 def run(capsys, *argv):
@@ -132,6 +134,38 @@ def test_verify_pass_and_usage(capsys):
     assert out.strip().splitlines()[-1] == "PASS"
     assert run_error("verify", "thm1a", "--M", "2", "--n", "-1") == 2
     assert run_error("verify", "nosuch") == 2
+
+
+def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
+    assert run_error("verify", "thm3", "--n", "8") == 2
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return sweeps.SweepResult("fake")
+
+    for fn_name, _ in sweeps.SUITES.values():
+        monkeypatch.setattr(sweeps, fn_name, fake)
+    assert main(["verify", "coupling", "--seed", "5"]) == 0
+    assert main(["verify", "thm1a", "--n", "6"]) == 0
+    assert main(["verify", "renewal", "--M", "3", "--N", "50"]) == 0
+    assert main(["verify", "thm4"]) == 0
+    assert calls == [{"seed": 5}, {"n_max": 6}, {"M_max": 3, "N": 50}, {}]
+    assert capsys.readouterr().out.splitlines()[:2] == ["fake", "PASS"]
+    assert run_error("verify", "thm4", "--M", "3") == 2
+    assert run_error("verify", "thm1b", "--seed", "1") == 2
+    assert run_error("verify", "lemma43", "--tol", "5") == 2
+
+
+def test_state_cap_exits_two(monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise StateCapExceeded("automaton for word of length 22, M=12 "
+                               "exceeded 1000000 states")
+
+    monkeypatch.setattr(cli, "exact_seen_probability", capped)
+    assert run_error("exact", "--word", "10" * 11, "--M", "12") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeded 1000000 states" in err
 
 
 def test_json_round_trip(capsys):

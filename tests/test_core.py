@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from wordseen.core import (
     BinaryWord,
     Embedding,
-    ReachFrontier,
     SequencePrefix,
     SpacingProfile,
+    _advance,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     count_embeddings_packed,
@@ -24,7 +24,7 @@ from wordseen.core import (
 
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=6)
-windows = st.integers(2, 4)
+windows = st.integers(1, 7)
 
 
 def pack(y):
@@ -182,20 +182,22 @@ def test_packed_matches_scalar_exhaustively(M):
             w = BinaryWord(letters)
             for val in range(1 << L):
                 y = [(val >> i) & 1 for i in range(L)]
-                assert seen_packed(letters, val, L, M) == is_m_seen(w, y, M)
+                embeddings = list(enumerate_embeddings(w, y, M))
+                assert seen_packed(letters, val, L, M) == bool(embeddings)
                 assert count_embeddings_packed(letters, val, L, M) == len(
-                    list(enumerate_embeddings(w, y, M)))
+                    embeddings)
 
 
 def test_frontier_walkthrough():
-    w = BinaryWord.from_string("11")
-    f = ReachFrontier.initial()
-    f = f.advance(0, w, 2, 2)
-    f = f.advance(1, w, 2, 2)     # hit at position 2
-    f = f.advance(1, w, 2, 2)
-    assert f.accepts(2)
-    dead = ReachFrontier.initial().advance(0, w, 1, 1)
-    assert dead.is_dead()
+    """The automaton step: members (k, age) of embeddable prefixes."""
+    start = frozenset({(0, 0)})
+    f = _advance(start, 0, (1, 1), 2, 2)
+    assert f == {(0, 1)}
+    f = _advance(f, 1, (1, 1), 2, 2)     # hit at position 2
+    assert f == {(1, 0)}
+    f = _advance(f, 1, (1, 1), 2, 2)
+    assert (2, 0) in f                   # the whole word is embedded
+    assert not _advance(start, 0, (1, 1), 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,10 @@ def test_growth_constants():
     assert abs(c2.by_bisection - 4 / 3) < 1e-9
     assert abs(c2.by_ratio - 4 / 3) < 1e-9
     c1 = growth_constant(1, tol=1e-9)
-    assert abs(c1.value - 2) < 1e-9
+    assert abs(c1.by_bisection - 2) < 1e-9
     for M in (3, 4):
         c = growth_constant(M, tol=1e-7)
-        assert 1 < c.value < c2.value
+        assert 1 < c.by_bisection < c2.by_bisection
         assert abs(c.by_bisection - c.by_ratio) < 1e-6
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wordseen import montecarlo
 from wordseen.core import BinaryWord, SequencePrefix, is_m_seen, seen_within
 from wordseen.exactprob import exact_seen_probability
 from wordseen.montecarlo import (
@@ -10,6 +12,7 @@ from wordseen.montecarlo import (
     CouplingStage,
     RngConfig,
     admissible_path_exists,
+    batch_seen,
     coupling_F,
     coupling_chain_demo,
     coupling_witness,
@@ -45,6 +48,38 @@ def test_cross_estimate_decreases_with_length():
     vals = [estimate_x_seen_in_y(2, 0.5, 0.5, n, 30000, RngConfig(3)).estimate
             for n in (1, 3, 6)]
     assert vals[0] > vals[1] > vals[2]
+
+
+def test_chunked_draws_match_one_shot(monkeypatch):
+    """Trials drawn over many chunks score as one draw of all rows."""
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 50)
+    w = BinaryWord.from_string("1101")
+    trials, M = 1003, 3
+    got = estimate_seen_probability(w, M, 0.4, trials, RngConfig(17))
+    ys = (RngConfig(17).stream(0).random((trials, w.n * M)) < 0.4).astype(np.uint8)
+    words = np.tile(np.array(w.letters, dtype=np.uint8), (trials, 1))
+    assert got.estimate == int(batch_seen(words, ys, M).sum()) / trials
+
+    n = 5
+    cross = estimate_x_seen_in_y(M, 0.3, 0.6, n, trials, RngConfig(17))
+    words = (RngConfig(17).stream(1).random((trials, n)) < 0.3).astype(np.uint8)
+    ys = (RngConfig(17).stream(2).random((trials, n * M)) < 0.6).astype(np.uint8)
+    assert cross.estimate == int(batch_seen(words, ys, M).sum()) / trials
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 7), st.integers(1, 8), st.data())
+def test_batch_seen_rows_match_scalar(n, M, R, data):
+    """One word per row, each row decided independently by the kernel."""
+    words = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=R, max_size=R)), dtype=np.uint8).reshape(R, n)
+    ys = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n * M, max_size=n * M),
+        min_size=R, max_size=R)), dtype=np.uint8).reshape(R, n * M)
+    got = batch_seen(words, ys, M)
+    for r in range(R):
+        assert bool(got[r]) == is_m_seen(tuple(words[r]), tuple(ys[r]), M)
 
 
 def test_sample_sequence_density():
