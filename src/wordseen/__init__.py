@@ -9,7 +9,6 @@ from .core import (
     constant_seen_by_spacings,
     enumerate_embeddings,
     is_m_seen,
-    make_word,
     s_sequence,
     seen_within,
     spacing_profile,

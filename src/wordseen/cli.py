@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import BinaryWord, make_word
+from .core import BinaryWord
 from .exactprob import (
     StateCapExceeded,
     exact_seen_probability,
@@ -78,8 +78,8 @@ def _nonnegative(text: str) -> int:
     return val
 
 
-def _add_word_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
+def _add_word_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--word", help="explicit 0/1 string")
     group.add_argument("--constant", type=_nonnegative, metavar="N",
                        help="the all-ones word of length N")
@@ -91,13 +91,12 @@ def _add_word_flags(sub: argparse.ArgumentParser) -> None:
 
 def _word_from_flags(args) -> BinaryWord:
     if args.word is not None:
-        return make_word("explicit", bits=args.word)
+        return BinaryWord.from_string(args.word)
     if args.constant is not None:
-        return make_word("constant", args.constant)
+        return BinaryWord.constant(1, args.constant)
     if args.alternating is not None:
-        return make_word("alternating", args.alternating)
-    p, q = args.twoblock
-    return make_word("two_block", p=p, q=q)
+        return BinaryWord.alternating(1, args.alternating)
+    return BinaryWord.two_block(*args.twoblock)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +138,13 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     word = _word_from_flags(args)
-    if args.oracle and args.p != Fraction(1, 2):
-        raise UsageError("the enumeration oracle assumes a fair coin, drop --p")
     prob = exact_seen_probability(word, args.M, args.p)
     header = ["word", "M", "p", "probability", "decimal"]
     row = [str(word), args.M, _frac(args.p), _frac(prob), _dec(prob)]
     obj = {"word": str(word), "M": args.M, "p": _frac(args.p),
            "probability": _frac(prob), "decimal": _dec(prob)}
     if args.oracle:
-        oracle = exhaustive_seen_probability(word, args.M)
+        oracle = exhaustive_seen_probability(word, args.M, args.p)
         header += ["oracle", "agrees"]
         row += [_frac(oracle), prob == oracle]
         obj["oracle"] = _frac(oracle)
@@ -176,12 +173,12 @@ def cmd_cm(args) -> int:
           [[args.M, value, value, _dec(c.by_ratio), repr(args.tol)]],
           {"M": args.M, "c": value, "by_bisection": value,
            "by_ratio": _dec(c.by_ratio), "tol": repr(args.tol)})
-    return 0
+    return 0 if abs(c.by_bisection - c.by_ratio) <= args.tol else 1
 
 
 def cmd_twoblock(args) -> int:
     table = u_table(args.M, args.p, args.q)
-    word = make_word("two_block", p=args.p, q=args.q)
+    word = BinaryWord.two_block(args.p, args.q)
     prob = exact_seen_probability(word, args.M)
     u = table.u[args.p][args.q]
     v = vn_single_recursion(args.M, args.p + args.q)[args.p + args.q]
@@ -200,11 +197,12 @@ def cmd_twoblock(args) -> int:
 
 def cmd_simulate(args) -> int:
     rng = RngConfig(args.seed)
+    has_word = any(getattr(args, flag) is not None
+                   for flag in ("word", "constant", "alternating", "twoblock"))
     if args.p_x is not None or args.p_y is not None:
         if args.p_x is None or args.p_y is None or args.n is None:
             raise UsageError("cross estimation needs --p-x, --p-y, and --n")
-        if (args.word is not None or args.constant is not None
-                or args.alternating is not None or args.twoblock is not None):
+        if has_word:
             raise UsageError("cross estimation draws its own words; drop the "
                              "word flags")
         est = estimate_x_seen_in_y(args.M, float(args.p_x), float(args.p_y),
@@ -215,8 +213,7 @@ def cmd_simulate(args) -> int:
                 _dec(est.estimate), _dec(est.stderr), args.seed]],
               est.to_json_dict())
         return 0
-    if (args.word is None and args.constant is None
-            and args.alternating is None and args.twoblock is None):
+    if not has_word:
         raise UsageError("simulate needs a word flag or the cross-mode flags")
     word = _word_from_flags(args)
     est = estimate_seen_probability(word, args.M, float(args.p), args.trials, rng)
@@ -306,12 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = subs.add_parser("simulate", parents=[common],
                             help="Monte Carlo estimate of a seen probability")
-    group = p_sim.add_mutually_exclusive_group(required=False)
-    group.add_argument("--word", help="explicit 0/1 string")
-    group.add_argument("--constant", type=_nonnegative, metavar="N")
-    group.add_argument("--alternating", type=_nonnegative, metavar="N")
-    group.add_argument("--twoblock", nargs=2, type=_nonnegative,
-                       metavar=("P", "Q"))
+    _add_word_flags(p_sim, required=False)
     p_sim.add_argument("--M", type=_positive, required=True)
     p_sim.add_argument("--p", type=_probability, default=Fraction(1, 2))
     p_sim.add_argument("--p-x", dest="p_x", type=_probability,

@@ -14,8 +14,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 Bits = tuple[int, ...]
 
-WORD_KINDS = ("constant", "alternating", "two_block", "explicit")
-
 
 def _coerce_bits(raw: Union[str, Iterable[int]], what: str) -> Bits:
     if isinstance(raw, str):
@@ -79,42 +77,6 @@ class BinaryWord:
         if not 0 <= m <= self.n:
             raise ValueError(f"suffix length {m} out of range for word of length {self.n}")
         return BinaryWord(self.letters[self.n - m:])
-
-
-def make_word(kind: str, n: int | None = None, *, letter: int = 1, first: int = 1,
-              p: int | None = None, q: int | None = None,
-              bits: Union[str, Iterable[int], None] = None) -> BinaryWord:
-    """Build a word from one of the stock families or an explicit letter list.
-
-    kind="constant" uses `letter` and `n`; "alternating" uses `first` and `n`;
-    "two_block" uses block lengths `p`, `q` (n, if given, must equal p+q);
-    "explicit" uses `bits`.
-    """
-    if kind == "constant":
-        if n is None:
-            raise ValueError("constant word needs a length n")
-        if letter not in (0, 1):
-            raise ValueError(f"letter must be 0 or 1, got {letter!r}")
-        return BinaryWord.constant(letter, n)
-    if kind == "alternating":
-        if n is None:
-            raise ValueError("alternating word needs a length n")
-        return BinaryWord.alternating(first, n)
-    if kind == "two_block":
-        if p is None or q is None:
-            raise ValueError("two_block word needs block lengths p and q")
-        word = BinaryWord.two_block(p, q)
-        if n is not None and n != word.n:
-            raise ValueError(f"length mismatch: n={n} but p+q={word.n}")
-        return word
-    if kind == "explicit":
-        if bits is None:
-            raise ValueError("explicit word needs bits")
-        word = BinaryWord(_coerce_bits(bits, "word"))
-        if n is not None and n != word.n:
-            raise ValueError(f"length mismatch: n={n} but {word.n} letters given")
-        return word
-    raise ValueError(f"unknown word kind {kind!r}, expected one of {WORD_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -229,16 +191,17 @@ class SpacingProfile:
 def _advance(members: frozenset[tuple[int, int]], letter: int, letters: Bits,
              M: int, origin_cap: int) -> frozenset[tuple[int, int]]:
     # member (k, d): the length-k prefix can end d letters back; d < cap keeps
-    # it attachable (gap d+1 <= cap for the next letter).
+    # it attachable (gap d+1 <= cap for the next letter).  Only the youngest
+    # age per k is kept: an older end can do nothing a younger one cannot.
     n = len(letters)
-    out = set()
+    ages: dict[int, int] = {}
     for k, d in members:
         cap = origin_cap if k == 0 else M
-        if d + 1 < cap:
-            out.add((k, d + 1))
+        if d + 1 < min(cap, ages.get(k, cap)):
+            ages[k] = d + 1
         if k < n and letters[k] == letter:
-            out.add((k + 1, 0))
-    return frozenset(out)
+            ages[k + 1] = 0
+    return frozenset(ages.items())
 
 
 def _pack(bits: Bits) -> int:

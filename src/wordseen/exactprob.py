@@ -3,8 +3,8 @@
 The streaming frontier of core (sets of (prefix-length, age) pairs) takes
 finitely many values, so the seen event is a finite automaton over sequence
 letters.  Subset states are discovered by worklist search, ACCEPT and DEAD
-absorb, and the probability is read off by evolving an exact distribution
-over states for n*M steps.
+absorb, and the probability is read off by counting weighted letter paths
+into ACCEPT in integers over n*M steps.
 """
 
 from __future__ import annotations
@@ -62,26 +62,23 @@ class ProbAutomaton:
     def size(self) -> int:
         return len(self.states)
 
-    def accept_index(self) -> int | None:
-        return self.states.index(ACCEPT) if ACCEPT in self.states else None
-
     def seen_probability(self, p: Rational) -> Fraction:
-        prob1 = _check_prob(as_rational(p))
-        prob0 = 1 - prob1
+        """Count the letter paths of length n*M that end in ACCEPT, weighing
+        each letter (b - a, a) at p = a/b, and divide once by b^(n*M)."""
+        prob = _check_prob(as_rational(p))
+        b = prob.denominator
+        w0, w1 = b - prob.numerator, prob.numerator
         steps = self.word.n * self.M
-        dist = [Fraction(0)] * self.size
-        dist[0] = Fraction(1)
+        live = {0: 1}
         for _ in range(steps):
-            nxt = [Fraction(0)] * self.size
-            for i, mass in enumerate(dist):
-                if not mass:
-                    continue
+            nxt: dict[int, int] = {}
+            for i, count in live.items():
                 on0, on1 = self.transitions[i]
-                nxt[on0] += mass * prob0
-                nxt[on1] += mass * prob1
-            dist = nxt
-        acc = self.accept_index()
-        return dist[acc] if acc is not None else Fraction(0)
+                nxt[on0] = nxt.get(on0, 0) + count * w0
+                nxt[on1] = nxt.get(on1, 0) + count * w1
+            live = nxt
+        accepted = sum(count for i, count in live.items() if self.states[i] == ACCEPT)
+        return Fraction(accepted, b ** steps)
 
     def dump_lines(self) -> list[str]:
         """One line per state: ``id | members | on0→id | on1→id``."""
@@ -149,18 +146,26 @@ def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
     return automaton.seen_probability(p)
 
 
-def exhaustive_seen_probability(word: WordLike, M: int, max_bits: int = 24) -> Fraction:
-    """Oracle: average the seen indicator over all 2^(n*M) equally likely
-    prefixes, one seen_packed scan each.  Fair letters only; it shares no
-    code with the automaton it cross-checks."""
+def exhaustive_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
+                                max_bits: int = 24) -> Fraction:
+    """Oracle: weigh the seen indicator of each of the 2^(n*M) prefixes,
+    one seen_packed scan each, by p^ones (1-p)^zeros.  Hits are tallied by
+    their number of ones; it shares no code with the automaton it
+    cross-checks."""
     w = as_word(word)
     _check_window(M)
+    prob = _check_prob(as_rational(p))
+    a, b = prob.numerator, prob.denominator
     L = w.n * M
     if L > max_bits:
         raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
                          f"{max_bits}-bit budget")
-    hits = sum(1 for y in range(1 << L) if seen_packed(w.letters, y, L, M))
-    return Fraction(hits, 1 << L)
+    hits = [0] * (L + 1)
+    for y in range(1 << L):
+        if seen_packed(w.letters, y, L, M):
+            hits[y.bit_count()] += 1
+    total = sum(h * a ** ones * (b - a) ** (L - ones) for ones, h in enumerate(hits))
+    return Fraction(total, b ** L)
 
 
 def word_probability_sweep(n: int, M: int, p: Rational = Fraction(1, 2),

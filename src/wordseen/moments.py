@@ -27,69 +27,39 @@ def expected_embeddings(M: int, n: int) -> Fraction:
 def second_moment_exact(word: WordLike, M: int) -> Fraction:
     """E(N_n^2) by a frontier walk over the two embedding position sequences.
 
-    The two walks are merged in sorted order; the state is (r, s, lead) with
-    lead = J_r - K_s confined to |lead| < M while both walks are live.  A
-    transition landing on lead = 0 registers the coincidence (r, s): factor
-    2 if the word letters agree, prune if they differ.  Branches that can no
-    longer coincide flush their weight.
+    The state is (r, s, lead): J has placed r letters, K has placed s, and
+    lead = K_s - J_r >= 0.  J, the walk behind, always takes the next step;
+    when it overtakes K the two walks swap names, which changes no weight
+    because the pair weight is symmetric.  Landing on lead = 0 registers the
+    coincidence: factor 2 if the word letters agree, prune if they differ.
+    A branch that can no longer coincide after t steps counts once for each
+    of the M^(2n-t) ways to finish, and the pair sum is divided by 4^n once.
     """
     w = as_word(word)
     _check_window(M)
     n = w.n
-    if n == 0:
-        return Fraction(1)
     letters = w.letters
-    step_w = Fraction(1, M)
-    both_w = step_w * step_w
-
-    levels: list[dict[tuple[int, int, int], Fraction]] = [dict() for _ in range(2 * n + 1)]
-    levels[0][(0, 0, 0)] = Fraction(1)
-    done = Fraction(0)
-    for total in range(2 * n + 1):
-        for (r, s, lead), mass in levels[total].items():
-            if lead == 0:
-                if r == n or s == n:
-                    done += mass
-                    continue
-                bucket = levels[total + 2]
-                for a in range(1, M + 1):
-                    for b in range(1, M + 1):
-                        piece = mass * both_w
-                        if a == b:
-                            if letters[r] != letters[s]:
-                                continue
-                            piece *= 2
-                        key = (r + 1, s + 1, a - b)
-                        bucket[key] = bucket.get(key, Fraction(0)) + piece
-            elif lead < 0:
-                if r == n:
-                    done += mass
-                    continue
-                bucket = levels[total + 1]
-                for a in range(1, M + 1):
-                    piece = mass * step_w
-                    new = lead + a
-                    if new == 0:
-                        if letters[r] != letters[s - 1]:
-                            continue
-                        piece *= 2
+    level = {(0, 0, 0): 1}
+    done = 0
+    for t in range(2 * n + 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (r, s, lead), count in level.items():
+            if r == n or (lead == 0 and s == n):
+                done += count * M ** (2 * n - t)
+                continue
+            for a in range(1, M + 1):
+                new, piece = lead - a, count
+                if new < 0:
+                    key = (s, r + 1, -new)
+                elif new > 0:
                     key = (r + 1, s, new)
-                    bucket[key] = bucket.get(key, Fraction(0)) + piece
-            else:
-                if s == n:
-                    done += mass
+                elif letters[r] == letters[s - 1]:
+                    key, piece = (r + 1, s, 0), 2 * count
+                else:
                     continue
-                bucket = levels[total + 1]
-                for b in range(1, M + 1):
-                    piece = mass * step_w
-                    new = lead - b
-                    if new == 0:
-                        if letters[r - 1] != letters[s]:
-                            continue
-                        piece *= 2
-                    key = (r, s + 1, new)
-                    bucket[key] = bucket.get(key, Fraction(0)) + piece
-    return Fraction(M, 2) ** (2 * n) * done
+                nxt[key] = nxt.get(key, 0) + piece
+        level = nxt
+    return Fraction(done, 4 ** n)
 
 
 def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
@@ -162,40 +132,43 @@ class RenewalTable:
         return len(self.r) - 1
 
 
-def _walk_distribution(M: int, n: int) -> list[list[int]]:
-    """counts[k][l] = number of k-step walks with uniform {1..M} steps
-    summing to l (integer counts; divide by M^k for probabilities)."""
-    counts = [[1]]
-    cur = [1]
-    for _ in range(n):
-        nxt = [0] * (len(cur) + M)
-        for l, c in enumerate(cur):
-            if c:
-                for step in range(1, M + 1):
-                    nxt[l + step] += c
-        cur = nxt
-        counts.append(cur)
-    return counts
+def _walk_rows(M: int, step):
+    """Rows n = 0, 1, 2, ...: row[l] weighs the n-step walks with steps in
+    {1..M} that sum to l.  step=1 counts them in integers; step=1.0/M gives
+    their probabilities as floats."""
+    row = [1]
+    while True:
+        yield row
+        nxt = [0] * (len(row) + M)
+        for l, mass in enumerate(row):
+            if mass:
+                for s in range(1, M + 1):
+                    nxt[l + s] += mass * step
+        row = nxt
 
 
 def renewal_table(M: int, N: int) -> RenewalTable:
     """Exact u, r, V up to index N:
-    u_n = sum_l P(J_n = l)^2, r_n = sum_{k=1}^n u_k r_{n-k}, r_0 = 1."""
+    u_n = sum_l P(J_n = l)^2, r_n = sum_{k=1}^n u_k r_{n-k}, r_0 = 1.
+
+    Runs on the integers U_n = u_n M^(2n) and R_n = r_n M^(2n), for which
+    the renewal convolution reads R_n = sum_k U_k R_(n-k)."""
     _check_window(M)
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
-    counts = _walk_distribution(M, N)
-    u = [Fraction(1)]
+    rows = _walk_rows(M, 1)
+    U = [sum(c * c for c in next(rows)) for _ in range(N + 1)]
+    R = [1]
     for n in range(1, N + 1):
-        u.append(Fraction(sum(c * c for c in counts[n]), M ** (2 * n)))
-    r = [Fraction(1)]
-    for n in range(1, N + 1):
-        r.append(sum((u[k] * r[n - k] for k in range(1, n + 1)), Fraction(0)))
-    V = []
-    acc = Fraction(0)
-    for val in r:
-        acc += val
-        V.append(acc)
+        R.append(sum(U[k] * R[n - k] for k in range(1, n + 1)))
+    u, r, V = [], [], []
+    W = 0  # V_n M^(2n)
+    for n in range(N + 1):
+        W = W * M * M + R[n]
+        scale = M ** (2 * n)
+        u.append(Fraction(U[n], scale))
+        r.append(Fraction(R[n], scale))
+        V.append(Fraction(W, scale))
     return RenewalTable(M, tuple(u), tuple(r), tuple(V))
 
 
@@ -246,7 +219,7 @@ class GrowthConstant:
     by_bisection solves U(x) = sum u_n x^n = 2 (the first-meeting generating
     function is F = 1 - 1/U, so U(1/c) = 2 is the same equation) and is the
     value to use; by_ratio tracks the decreasing ratios V_{n+1}/V_n to the
-    same limit.
+    same limit and adds their geometric tail.
     """
 
     M: int
@@ -255,40 +228,33 @@ class GrowthConstant:
     tol: float
 
 
-def _u_floats(M: int, N: int) -> list[float]:
-    dist = [1.0]
-    out = [1.0]
-    step = 1.0 / M
-    for _ in range(N):
-        nxt = [0.0] * (len(dist) + M)
-        for l, mass in enumerate(dist):
-            if mass:
-                for s in range(1, M + 1):
-                    nxt[l + s] += mass * step
-        dist = nxt
-        out.append(sum(mass * mass for mass in dist))
-    return out
-
-
 def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> GrowthConstant:
     """Locate c_M two independent ways and package both values.
 
     Bisection brackets U(x) = 2 rigorously: the partial sum is a certain
     lower bound for U(x) and adding the geometric tail u_1 x^(N+1)/(1-x)
     (u_n is decreasing) gives an upper bound; N grows until every verdict
-    is unambiguous.  The ratio route iterates V_{n+1}/V_n until successive
-    ratios settle within tol/10.
+    is unambiguous.  The ratio route iterates V_{n+1}/V_n, whose steps
+    Delta_n shrink geometrically, until the tail estimate
+    |Delta_n| q/(1-q) with q = Delta_n/Delta_(n-1) drops below tol/10, and
+    reports the ratio plus that tail.
     """
     _check_window(M)
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
 
-    u = _u_floats(M, 256)
+    rows = _walk_rows(M, 1.0 / M)
+    u: list[float] = []
+
+    def extend(size: int) -> None:
+        while len(u) < size:
+            u.append(sum(mass * mass for mass in next(rows)))
+
+    extend(257)
     u1 = u[1]
 
     def verdict(x: float) -> int:
         # +1 if U(x) > 2, -1 if U(x) < 2, growing the series as needed
-        nonlocal u
         while True:
             partial = 0.0
             xn = 1.0
@@ -304,7 +270,7 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
                 raise RuntimeError(
                     f"series for U(x) at x={x} did not settle within "
                     f"{max_terms} terms")
-            u = _u_floats(M, 2 * len(u))
+            extend(2 * len(u) + 1)
 
     lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2; U(x) -> infinity as x -> 1
     while verdict(hi) < 0:
@@ -317,25 +283,28 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
             lo = mid
     by_bisection = 2.0 / (lo + hi)
 
-    # ratio route: V_{n+1}/V_n is decreasing with geometric convergence
-    u_full = u
+    # ratio route: V_{n+1}/V_n decreases to c_M with geometric steps
     r = [1.0]
     V = [1.0]
-    ratio_prev = None
+    ratio = delta = None
     by_ratio = None
     n = 0
     while by_ratio is None:
         n += 1
-        if n >= len(u_full):
-            u_full = _u_floats(M, 2 * len(u_full))
-        r.append(sum(u_full[k] * r[n - k] for k in range(1, n + 1)))
-        V.append(V[-1] + r[-1])
-        ratio = V[-1] / V[-2]
-        if ratio_prev is not None and abs(ratio_prev - ratio) < tol / 10:
-            by_ratio = ratio
-        ratio_prev = ratio
         if n > max_terms:
             raise RuntimeError(f"ratio iteration did not settle within {max_terms} steps")
+        extend(n + 1)
+        r.append(sum(u[k] * r[n - k] for k in range(1, n + 1)))
+        V.append(V[-1] + r[-1])
+        prev_ratio, ratio = ratio, V[-1] / V[-2]
+        if prev_ratio is None:
+            continue
+        prev_delta, delta = delta, ratio - prev_ratio
+        if prev_delta is None:
+            continue
+        q = delta / prev_delta if prev_delta else 0.0
+        if 0 <= q < 1 and abs(delta) * q / (1 - q) < tol / 10:
+            by_ratio = ratio + delta * q / (1 - q)
 
     out = GrowthConstant(M, by_bisection, by_ratio, tol)
     assert out.by_bisection > 1

@@ -402,7 +402,7 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100, z_n_max: int = 5,
                 if table.u[n] != Fraction(comb(2 * n, n), 4 ** n):
                     res.fail(f"M=2, n={n}: u_n != central binomial / 4^n")
                     break
-            for n in range(50):
+            for n in range(min(50, N)):
                 # V_{n+1}/V_n >= 4/3, i.e. V_n (4/3)^-n keeps increasing
                 if 3 * table.V[n + 1] < 4 * table.V[n]:
                     res.fail(f"M=2, n={n}: V ratio dropped below 4/3")

@@ -5,6 +5,7 @@ import pytest
 from wordseen import cli, sweeps
 from wordseen.cli import main
 from wordseen.exactprob import StateCapExceeded
+from wordseen.moments import GrowthConstant
 
 
 def run(capsys, *argv):
@@ -55,6 +56,10 @@ def test_exact_oracle_agrees(capsys):
     cells = oracled.strip().splitlines()[1].split(",")
     assert value == "3/8"
     assert cells[3] == cells[5] == "3/8" and cells[6] == "True"
+    code3, biased = run(capsys, "exact", "--word", "1100", "--M", "2", "--p",
+                        "1/3", "--oracle")
+    cells = biased.strip().splitlines()[1].split(",")
+    assert code3 == 0 and cells[3] == cells[5] and cells[6] == "True"
 
 
 def test_exact_word_families(capsys):
@@ -64,11 +69,13 @@ def test_exact_word_families(capsys):
     assert out.strip().splitlines()[1].split(",")[3] == "3/8"
     _, out = run(capsys, "exact", "--constant", "2", "--M", "2", "--p", "1/3")
     assert out.strip().splitlines()[1].split(",")[3] == "25/81"
+    # 24,917 states with one age per prefix length; over 10^6 without
+    code, out = run(capsys, "exact", "--word", "10" * 11, "--M", "12")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[4] == "0.999752753228"
 
 
 def test_exact_usage_errors():
-    assert run_error("exact", "--word", "1100", "--M", "2", "--p", "1/3",
-                     "--oracle") == 2
     assert run_error("exact", "--word", "1102", "--M", "2") == 2
     assert run_error("exact", "--word", "11", "--constant", "2", "--M", "2") == 2
     assert run_error("exact", "--word", "11", "--M", "2", "--p", "2") == 2
@@ -82,11 +89,14 @@ def test_maxword(capsys):
     assert set(cells[4].split()) == {"0", "1"}
 
 
-def test_cm(capsys):
+def test_cm(monkeypatch, capsys):
     code, out = run(capsys, "cm", "--M", "2")
     assert code == 0
     c = float(out.strip().splitlines()[1].split(",")[1])
     assert abs(c - 4 / 3) < 1e-9
+    monkeypatch.setattr(cli, "growth_constant",
+                        lambda M, tol: GrowthConstant(M, 1.5, 1.5 + 2 * tol, tol))
+    assert run(capsys, "cm", "--M", "2")[0] == 1
 
 
 def test_twoblock(capsys):
@@ -132,6 +142,8 @@ def test_verify_pass_and_usage(capsys):
     code, out = run(capsys, "verify", "thm1a", "--M", "2", "--n", "4")
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS"
+    code, out = run(capsys, "verify", "renewal", "--N", "1")
+    assert code == 0 and out.strip().splitlines()[-1] == "PASS"
     assert run_error("verify", "thm1a", "--M", "2", "--n", "-1") == 2
     assert run_error("verify", "nosuch") == 2
 

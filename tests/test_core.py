@@ -14,7 +14,6 @@ from wordseen.core import (
     count_embeddings_packed,
     enumerate_embeddings,
     is_m_seen,
-    make_word,
     s_sequence,
     seen_packed,
     seen_within,
@@ -44,20 +43,6 @@ def test_word_families():
     assert str(BinaryWord.from_string("1100").complement()) == "0011"
     assert BinaryWord.from_string("110100").suffix(3) == BinaryWord.from_string("100")
     assert len(BinaryWord.two_block(0, 0)) == 0
-
-
-def test_make_word_dispatch():
-    assert make_word("constant", 3) == BinaryWord.constant(1, 3)
-    assert make_word("constant", 3, letter=0) == BinaryWord.constant(0, 3)
-    assert make_word("alternating", 4, first=0) == BinaryWord.alternating(0, 4)
-    assert make_word("two_block", p=2, q=1) == BinaryWord.from_string("110")
-    assert make_word("explicit", bits="011") == BinaryWord.from_string("011")
-    with pytest.raises(ValueError):
-        make_word("constant")
-    with pytest.raises(ValueError):
-        make_word("explicit", 3)
-    with pytest.raises(ValueError):
-        make_word("palindrome", 3)
     with pytest.raises(ValueError):
         BinaryWord.from_string("012")
 
@@ -198,6 +183,26 @@ def test_frontier_walkthrough():
     f = _advance(f, 1, (1, 1), 2, 2)
     assert (2, 0) in f                   # the whole word is embedded
     assert not _advance(start, 0, (1, 1), 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6), windows, st.data())
+def test_advance_antichain_decides_seen(letters, M, data):
+    """_advance keeps one age per prefix length, and streaming n*M letters
+    through it reaches a full-word member exactly when seen_packed says seen."""
+    letters = tuple(letters)
+    n = len(letters)
+    y = data.draw(st.lists(st.integers(0, 1), min_size=n * M, max_size=n * M))
+    members = frozenset({(0, 0)})
+    accepted = False
+    for letter in y:
+        members = _advance(members, letter, letters, M, M)
+        ks = [k for k, _ in members]
+        assert len(ks) == len(set(ks))
+        if n in ks:
+            accepted = True
+            break
+    assert accepted == seen_packed(letters, pack(y), n * M, M)
 
 
 # ---------------------------------------------------------------------------

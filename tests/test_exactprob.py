@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordseen.core import BinaryWord
 from wordseen.exactprob import (
@@ -62,6 +62,16 @@ def test_engine_matches_enumeration(M):
         for letters in itertools.product((0, 1), repeat=n):
             w = BinaryWord(letters)
             assert exact_seen_probability(w, M) == exhaustive_seen_probability(w, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6), st.integers(1, 4),
+       st.sampled_from([Fraction(1, 3), Fraction(3, 5)]))
+def test_engine_matches_biased_enumeration(wbits, M, p):
+    # 2^(nM) oracle scans; nM <= 16 keeps each example under a second
+    assume(len(wbits) * M <= 16)
+    w = BinaryWord(tuple(wbits))
+    assert exact_seen_probability(w, M, p) == exhaustive_seen_probability(w, M, p)
 
 
 def test_enumeration_budget():

@@ -30,7 +30,7 @@ def test_single_letter_second_moment():
     assert second_moment_oracle(BinaryWord.from_string("1"), 2) == Fraction(3, 2)
 
 
-@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("M", [2, 3, 4])
 def test_walk_dp_equals_pairsum(M):
     for n in range(1, 4):
         for letters in itertools.product((0, 1), repeat=n):
@@ -99,6 +99,10 @@ def test_growth_constants():
         c = growth_constant(M, tol=1e-7)
         assert 1 < c.by_bisection < c2.by_bisection
         assert abs(c.by_bisection - c.by_ratio) < 1e-6
+    # c_8 from an independent float64 bisection of U(x) = 2 over 3000 terms
+    c8 = growth_constant(8, tol=1e-9)
+    assert abs(c8.by_ratio - 1.0343868894706) < 1e-9
+    assert abs(c8.by_bisection - c8.by_ratio) < 1e-9
 
 
 def test_growth_constant_bounds_vn_growth():
