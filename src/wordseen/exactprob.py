@@ -147,7 +147,7 @@ def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
 
 
 def exhaustive_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
-                                max_bits: int = 24) -> Fraction:
+                                max_bits: int = 20) -> Fraction:
     """Oracle: weigh the seen indicator of each of the 2^(n*M) prefixes,
     one seen_packed scan each, by p^ones (1-p)^zeros.  Hits are tallied by
     their number of ones; it shares no code with the automaton it

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+
+import numpy as np
 
 from .core import WordLike, as_word, count_embeddings_packed, _check_window
 
@@ -99,7 +101,7 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
     return total
 
 
-def second_moment_oracle(word: WordLike, M: int, max_bits: int = 24) -> Fraction:
+def second_moment_oracle(word: WordLike, M: int, max_bits: int = 20) -> Fraction:
     """Average N_n^2 over all 2^(n*M) equally likely prefixes."""
     w = as_word(word)
     _check_window(M)
@@ -134,17 +136,27 @@ class RenewalTable:
 
 def _walk_rows(M: int, step):
     """Rows n = 0, 1, 2, ...: row[l] weighs the n-step walks with steps in
-    {1..M} that sum to l.  step=1 counts them in integers; step=1.0/M gives
-    their probabilities as floats."""
-    row = [1]
+    {1..M} that sum to l.  step=1 counts them in integers (numpy object
+    arrays); step=1.0/M gives their probabilities as float64.
+
+    Each row is built by M shift-adds, s = M down to 1, so every cell adds
+    its terms row[l] * step with l ascending; the float rows, and with them
+    the growth-constant digits, are pinned to that order bit for bit."""
+    dtype = object if isinstance(step, int) else np.float64
+    row = np.ones(1, dtype=dtype)
     while True:
         yield row
-        nxt = [0] * (len(row) + M)
-        for l, mass in enumerate(row):
-            if mass:
-                for s in range(1, M + 1):
-                    nxt[l + s] += mass * step
+        nxt = np.zeros(len(row) + M, dtype=dtype)
+        term = row * step
+        for s in range(M, 0, -1):
+            nxt[s:s + len(row)] += term
         row = nxt
+
+
+def _left_sum(terms: np.ndarray):
+    """terms[0] + terms[1] + ... added left to right, as sum() does; np.sum
+    and np.dot add pairwise and would change the last bits."""
+    return np.cumsum(terms)[-1]
 
 
 def renewal_table(M: int, N: int) -> RenewalTable:
@@ -156,8 +168,7 @@ def renewal_table(M: int, N: int) -> RenewalTable:
     _check_window(M)
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
-    rows = _walk_rows(M, 1)
-    U = [sum(c * c for c in next(rows)) for _ in range(N + 1)]
+    U = [_left_sum(row * row) for row in islice(_walk_rows(M, 1), N + 1)]
     R = [1]
     for n in range(1, N + 1):
         R.append(sum(U[k] * R[n - k] for k in range(1, n + 1)))
@@ -248,7 +259,8 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
 
     def extend(size: int) -> None:
         while len(u) < size:
-            u.append(sum(mass * mass for mass in next(rows)))
+            row = next(rows)
+            u.append(float(_left_sum(row * row)))
 
     extend(257)
     u1 = u[1]
@@ -294,7 +306,7 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
         if n > max_terms:
             raise RuntimeError(f"ratio iteration did not settle within {max_terms} steps")
         extend(n + 1)
-        r.append(sum(u[k] * r[n - k] for k in range(1, n + 1)))
+        r.append(float(_left_sum(np.array(u[1:n + 1]) * r[n - 1::-1])))
         V.append(V[-1] + r[-1])
         prev_ratio, ratio = ratio, V[-1] / V[-2]
         if prev_ratio is None:

@@ -62,6 +62,12 @@ def test_exact_oracle_agrees(capsys):
     assert code3 == 0 and cells[3] == cells[5] and cells[6] == "True"
 
 
+def test_exact_oracle_budget(capsys):
+    # n*M = 24 > 20: refused before any of the 2^24 prefixes is scanned
+    assert run_error("exact", "--word", "110101", "--M", "4", "--oracle") == 2
+    assert "exceeds the 20-bit budget" in capsys.readouterr().err
+
+
 def test_exact_word_families(capsys):
     _, out = run(capsys, "exact", "--alternating", "3", "--M", "2")
     assert out.strip().splitlines()[1].split(",")[3] == "17/32"

@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 
 from wordseen.core import BinaryWord
 from wordseen.moments import (
+    _walk_rows,
     expected_embeddings,
     growth_constant,
     random_word_second_moment,
@@ -89,6 +91,55 @@ def test_surplus_moment_bruteforce(M, n):
     assert visits_moment_bruteforce(M, n) == renewal_table(M, n).V[n]
 
 
+def scalar_walk_rows(M, step):
+    # reference loop: every cell adds its terms with l ascending, the
+    # order the float rows must keep
+    row = [1]
+    while True:
+        yield row
+        nxt = [0] * (len(row) + M)
+        for l, mass in enumerate(row):
+            if mass:
+                for s in range(1, M + 1):
+                    nxt[l + s] += mass * step
+        row = nxt
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_walk_rows_match_scalar_loop(M):
+    for step in (1, 1.0 / M):
+        pairs = zip(islice(_walk_rows(M, step), 61), scalar_walk_rows(M, step))
+        for fast, slow in pairs:
+            assert fast.tolist() == slow  # ==, bit for bit, not approx
+
+
+# reprs computed with the rows of scalar_walk_rows
+PINNED_GROWTH = {
+    (1, 1e-9): ("1.9999999998855849", "2.0"),
+    (2, 1e-9): ("1.3333333332311865", "1.3333333333335025"),
+    (3, 1e-9): ("1.1761255981154608", "1.17612559813126"),
+    (4, 1e-9): ("1.1108117438895326", "1.1108117439265799"),
+    (5, 1e-9): ("1.0766977252668644", "1.0766977252603176"),
+    (6, 1e-9): ("1.056436597239613", "1.0564365971832295"),
+    (7, 1e-9): ("1.0433527806707705", "1.0433527806816607"),
+    (8, 1e-9): ("1.0343868893900898", "1.0343868894707258"),
+    (1, 1e-7): ("1.9999999925514196", "2.0"),
+    (2, 1e-7): ("1.3333333267119285", "1.3333333333571222"),
+    (3, 1e-7): ("1.1761255991621817", "1.1761255981550436"),
+    (4, 1e-7): ("1.1108117354862894", "1.1108117439516747"),
+    (5, 1e-7): ("1.076697721015696", "1.0766977252867822"),
+    (6, 1e-7): ("1.0564365897688517", "1.0564365972103642"),
+    (7, 1e-7): ("1.043352788464541", "1.0433527807108887"),
+    (8, 1e-7): ("1.0343868867743446", "1.034386889500823"),
+}
+
+
+@pytest.mark.parametrize("M,tol", sorted(PINNED_GROWTH))
+def test_growth_constant_bits_pinned(M, tol):
+    c = growth_constant(M, tol)
+    assert (repr(c.by_bisection), repr(c.by_ratio)) == PINNED_GROWTH[M, tol]
+
+
 def test_growth_constants():
     c2 = growth_constant(2, tol=1e-9)
     assert abs(c2.by_bisection - 4 / 3) < 1e-9
@@ -103,6 +154,11 @@ def test_growth_constants():
     c8 = growth_constant(8, tol=1e-9)
     assert abs(c8.by_ratio - 1.0343868894706) < 1e-9
     assert abs(c8.by_bisection - c8.by_ratio) < 1e-9
+    # c_16 from an independent float64 bisection of U(x) = 2 over 4000 terms
+    # of np.convolve walk distributions (x^4000 < 1e-17 at x = 1/c_16)
+    c16 = growth_constant(16, tol=1e-9)
+    assert abs(c16.by_ratio - 1.0098819099011236) < 1e-9
+    assert abs(c16.by_bisection - 1.0098819099011236) < 1e-9
 
 
 def test_growth_constant_bounds_vn_growth():
