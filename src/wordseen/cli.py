@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every subcommand is deterministic given its flags.  Exact values print as
-num/den plus a 12-digit decimal; --format picks csv (default) or json, --out
+num/den plus a 12-digit decimal; --format picks csv (default) or json for
+the tables, while verify prints its plain-text report under either; --out
 redirects to a file.  Exit codes: 0 success, 1 verification failure, 2 usage
 error or resource limit.
 """
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .core import BinaryWord
@@ -38,20 +40,28 @@ def _dec(x) -> str:
     return f"{float(x):.12f}"
 
 
-def _emit(args, header: list[str], rows: list[list], json_obj) -> None:
-    if args.format == "json":
-        text = json.dumps(json_obj, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, rows: list[dict], doc=None) -> None:
+    """Write rows as CSV, headed by the first row's keys, with list cells
+    joined by spaces; or write doc, by default the one row, as JSON."""
+    if args.format == "json":
+        text = json.dumps(rows[0] if doc is None else doc, sort_keys=True,
+                          indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([" ".join(cell) if isinstance(cell, list) else cell
+                          for cell in row.values()] for row in rows)
+        text = buf.getvalue()
+    _write(args, text)
 
 
 def _probability(text: str) -> Fraction:
@@ -89,14 +99,16 @@ def _add_word_flags(sub: argparse.ArgumentParser, required: bool = True) -> None
                        metavar=("P", "Q"), help="P ones then Q zeros")
 
 
-def _word_from_flags(args) -> BinaryWord:
+def _word_from_flags(args) -> BinaryWord | None:
     if args.word is not None:
         return BinaryWord.from_string(args.word)
     if args.constant is not None:
         return BinaryWord.constant(1, args.constant)
     if args.alternating is not None:
         return BinaryWord.alternating(1, args.alternating)
-    return BinaryWord.two_block(*args.twoblock)
+    if args.twoblock is not None:
+        return BinaryWord.two_block(*args.twoblock)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +117,11 @@ def _word_from_flags(args) -> BinaryWord:
 
 def cmd_vn(args) -> int:
     table = vn_pair_recursion(args.M, args.N + 1)
-    header = ["n", "vn", "vn_decimal", "vnprime", "vnprime_decimal", "ratio_next"]
-    rows, entries = [], []
-    for n in range(args.N + 1):
-        ratio = table.ratio(n)
-        rows.append([n, _frac(table.v[n]), _dec(table.v[n]),
-                     _frac(table.vprime[n]), _dec(table.vprime[n]), _dec(ratio)])
-        entries.append({"n": n, "vn": _frac(table.v[n]),
-                        "vn_decimal": _dec(table.v[n]),
-                        "vnprime": _frac(table.vprime[n]),
-                        "vnprime_decimal": _dec(table.vprime[n]),
-                        "ratio_next": _dec(ratio)})
-    _emit(args, header, rows, {"M": args.M, "N": args.N, "rows": entries})
+    rows = [{"n": n, "vn": _frac(table.v[n]), "vn_decimal": _dec(table.v[n]),
+             "vnprime": _frac(table.vprime[n]),
+             "vnprime_decimal": _dec(table.vprime[n]),
+             "ratio_next": _dec(table.ratio(n))} for n in range(args.N + 1)]
+    _emit(args, rows, {"M": args.M, "N": args.N, "rows": rows})
     return 0
 
 
@@ -127,52 +132,37 @@ def cmd_verify(args) -> int:
     lines = [res.name] + res.details
     lines.append("PASS" if res.ok else
                  f"FAIL ({res.counterexample or 'see details'})")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 0 if res.ok else 1
 
 
 def cmd_exact(args) -> int:
     word = _word_from_flags(args)
     prob = exact_seen_probability(word, args.M, args.p)
-    header = ["word", "M", "p", "probability", "decimal"]
-    row = [str(word), args.M, _frac(args.p), _frac(prob), _dec(prob)]
-    obj = {"word": str(word), "M": args.M, "p": _frac(args.p),
+    row = {"word": str(word), "M": args.M, "p": _frac(args.p),
            "probability": _frac(prob), "decimal": _dec(prob)}
+    agrees = True
     if args.oracle:
         oracle = exhaustive_seen_probability(word, args.M, args.p)
-        header += ["oracle", "agrees"]
-        row += [_frac(oracle), prob == oracle]
-        obj["oracle"] = _frac(oracle)
-        obj["agrees"] = bool(prob == oracle)
-    _emit(args, header, [row], obj)
-    return 0 if not args.oracle or prob == oracle else 1
+        agrees = prob == oracle
+        row.update(oracle=_frac(oracle), agrees=agrees)
+    _emit(args, [row])
+    return 0 if agrees else 1
 
 
 def cmd_maxword(args) -> int:
     out = max_word_probability(args.n, args.M)
-    header = ["n", "M", "probability", "decimal", "maximizers"]
-    words = " ".join(str(w) for w in out.words)
-    _emit(args, header,
-          [[args.n, args.M, _frac(out.probability), _dec(out.probability), words]],
-          {"n": args.n, "M": args.M, "probability": _frac(out.probability),
-           "decimal": _dec(out.probability),
-           "maximizers": [str(w) for w in out.words]})
+    _emit(args, [{"n": args.n, "M": args.M, "probability": _frac(out.probability),
+                  "decimal": _dec(out.probability),
+                  "maximizers": [str(w) for w in out.words]}])
     return 0
 
 
 def cmd_cm(args) -> int:
     c = growth_constant(args.M, tol=args.tol)
     value = _dec(c.by_bisection)
-    header = ["M", "c", "by_bisection", "by_ratio", "tol"]
-    _emit(args, header,
-          [[args.M, value, value, _dec(c.by_ratio), repr(args.tol)]],
-          {"M": args.M, "c": value, "by_bisection": value,
-           "by_ratio": _dec(c.by_ratio), "tol": repr(args.tol)})
+    _emit(args, [{"M": args.M, "c": value, "by_bisection": value,
+                  "by_ratio": _dec(c.by_ratio), "tol": repr(args.tol)}])
     return 0 if abs(c.by_bisection - c.by_ratio) <= args.tol else 1
 
 
@@ -183,45 +173,32 @@ def cmd_twoblock(args) -> int:
     u = table.u[args.p][args.q]
     v = vn_single_recursion(args.M, args.p + args.q)[args.p + args.q]
     sandwich = prob <= u <= v
-    header = ["p", "q", "M", "probability", "prob_decimal", "u", "u_decimal",
-              "v", "v_decimal", "sandwich"]
-    _emit(args, header,
-          [[args.p, args.q, args.M, _frac(prob), _dec(prob), _frac(u), _dec(u),
-            _frac(v), _dec(v), sandwich]],
-          {"p": args.p, "q": args.q, "M": args.M,
-           "probability": _frac(prob), "prob_decimal": _dec(prob),
-           "u": _frac(u), "u_decimal": _dec(u),
-           "v": _frac(v), "v_decimal": _dec(v), "sandwich": bool(sandwich)})
+    _emit(args, [{"p": args.p, "q": args.q, "M": args.M,
+                  "probability": _frac(prob), "prob_decimal": _dec(prob),
+                  "u": _frac(u), "u_decimal": _dec(u),
+                  "v": _frac(v), "v_decimal": _dec(v), "sandwich": sandwich}])
     return 0 if sandwich else 1
 
 
 def cmd_simulate(args) -> int:
     rng = RngConfig(args.seed)
-    has_word = any(getattr(args, flag) is not None
-                   for flag in ("word", "constant", "alternating", "twoblock"))
+    word = _word_from_flags(args)
     if args.p_x is not None or args.p_y is not None:
         if args.p_x is None or args.p_y is None or args.n is None:
-            raise UsageError("cross estimation needs --p-x, --p-y, and --n")
-        if has_word:
-            raise UsageError("cross estimation draws its own words; drop the "
+            raise ValueError("cross estimation needs --p-x, --p-y, and --n")
+        if word is not None:
+            raise ValueError("cross estimation draws its own words; drop the "
                              "word flags")
         est = estimate_x_seen_in_y(args.M, float(args.p_x), float(args.p_y),
                                    args.n, args.trials, rng)
-        header = ["M", "p_x", "p_y", "n", "trials", "estimate", "stderr", "seed"]
-        _emit(args, header,
-              [[args.M, float(args.p_x), float(args.p_y), args.n, args.trials,
-                _dec(est.estimate), _dec(est.stderr), args.seed]],
-              est.to_json_dict())
-        return 0
-    if not has_word:
-        raise UsageError("simulate needs a word flag or the cross-mode flags")
-    word = _word_from_flags(args)
-    est = estimate_seen_probability(word, args.M, float(args.p), args.trials, rng)
-    header = ["word", "M", "p", "trials", "estimate", "stderr", "seed"]
-    _emit(args, header,
-          [[str(word), args.M, float(args.p), args.trials, _dec(est.estimate),
-            _dec(est.stderr), args.seed]],
-          est.to_json_dict())
+    elif word is None:
+        raise ValueError("simulate needs a word flag or the cross-mode flags")
+    else:
+        est = estimate_seen_probability(word, args.M, float(args.p), args.trials,
+                                        rng)
+    doc = asdict(est)
+    _emit(args, [dict(doc, estimate=_dec(est.estimate), stderr=_dec(est.stderr))],
+          doc)
     return 0
 
 
@@ -229,16 +206,12 @@ def cmd_couple(args) -> int:
     report = coupling_chain_demo(float(args.p_x), float(args.p_y),
                                  length=args.n, samples=args.trials,
                                  rng=RngConfig(args.seed))
-    header = ["stage", "p_in", "p1", "p_out"]
-    rows = [[i + 1, s.p_in, s.p1, s.p_out] for i, s in enumerate(report.stages)]
-    rows.append(["summary", report.window, report.witness_failures,
-                 _dec(report.empirical)])
-    _emit(args, header, rows, report.to_json_dict())
+    cells = [(i + 1, s.p_in, s.p1, s.p_out) for i, s in enumerate(report.stages)]
+    cells.append(("summary", report.window, report.witness_failures,
+                  _dec(report.empirical)))
+    _emit(args, [dict(zip(("stage", "p_in", "p1", "p_out"), c)) for c in cells],
+          report.to_json_dict())
     return 0 if report.ok else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="alternating-word probability table")
     p_vn.add_argument("--M", type=int, required=True)
     p_vn.add_argument("--N", type=_nonnegative, required=True)
-    p_vn.set_defaults(fn=cmd_vn, need_M2=True)
+    p_vn.set_defaults(fn=cmd_vn)
 
     p_verify = subs.add_parser("verify", parents=[common],
                                help="run an invariant suite")
@@ -299,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.add_argument("--q", type=_nonnegative, required=True,
                        help="zeros-block length")
     p_two.add_argument("--M", type=int, required=True)
-    p_two.set_defaults(fn=cmd_twoblock, need_M2=True)
+    p_two.set_defaults(fn=cmd_twoblock)
 
     p_sim = subs.add_parser("simulate", parents=[common],
                             help="Monte Carlo estimate of a seen probability")
@@ -333,12 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "need_M2", False) and args.M < 2:
-        parser.error(f"--M must be at least 2, got {args.M}")
     try:
         return args.fn(args)
-    except UsageError as err:
-        parser.error(str(err))
     except (ValueError, KeyError) as err:
         parser.error(str(err))
     except StateCapExceeded as err:

@@ -251,8 +251,9 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
     reports the ratio plus that tail.
     """
     _check_window(M)
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must be in (0, 1), got {tol}")
+    # below 1e-12 the bisection cannot split adjacent floats near x = 1/c_M
+    if not 1e-12 <= tol < 1:
+        raise ValueError(f"tolerance must be in [1e-12, 1), got {tol}")
 
     rows = _walk_rows(M, 1.0 / M)
     u: list[float] = []

@@ -88,7 +88,8 @@ def _chunk_rows(trials: int, width: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class SeenEstimate:
-    """Monte Carlo estimate with its binomial standard error."""
+    """Monte Carlo estimate with its binomial standard error.  The field
+    order is the column order of `wordseen simulate`."""
 
     word: str
     M: int
@@ -97,12 +98,6 @@ class SeenEstimate:
     estimate: float
     stderr: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.word, "M": self.M, "p": self.p, "trials": self.trials,
-            "estimate": self.estimate, "stderr": self.stderr, "seed": self.seed,
-        }
 
 
 def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
@@ -130,6 +125,8 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
 
 @dataclass(frozen=True)
 class CrossEstimate:
+    """The same for a random word inside a random sequence."""
+
     M: int
     p_x: float
     p_y: float
@@ -138,13 +135,6 @@ class CrossEstimate:
     estimate: float
     stderr: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M, "p_x": self.p_x, "p_y": self.p_y, "n": self.n,
-            "trials": self.trials, "estimate": self.estimate,
-            "stderr": self.stderr, "seed": self.seed,
-        }
 
 
 def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
@@ -364,7 +354,8 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
     Each sample draws an iid input at density p of length length * 2^k,
     pushes it through the k stages, checks the per-stage positional witness
     and that the final word sits 3^k-seen inside the original input, and
-    pools the final letters for the density check.
+    pools the final letters for the density check.  A plan whose input
+    exceeds _CHUNK_CELLS letters per sample is refused before any draw.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -372,6 +363,9 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     stages = plan_parameter_path(p, p_target)
     k = len(stages)
+    if length * 2 ** k > _CHUNK_CELLS:
+        raise ValueError(f"{k} stages draw {length}*2^{k} letters per sample, "
+                         f"over the budget of {_CHUNK_CELLS}")
     window = 3 ** k
     failures = 0
     total = 0

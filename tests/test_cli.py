@@ -44,6 +44,7 @@ def test_vn_long_ratio(capsys):
 
 def test_vn_rejects_window_one():
     assert run_error("vn", "--M", "1", "--N", "3") == 2
+    assert run_error("twoblock", "--p", "1", "--q", "1", "--M", "1") == 2
 
 
 def test_exact_oracle_agrees(capsys):
@@ -103,6 +104,10 @@ def test_cm(monkeypatch, capsys):
     monkeypatch.setattr(cli, "growth_constant",
                         lambda M, tol: GrowthConstant(M, 1.5, 1.5 + 2 * tol, tol))
     assert run(capsys, "cm", "--M", "2")[0] == 1
+    monkeypatch.undo()
+    # below 1e-12 the bisection cannot split adjacent floats and would not end
+    assert run_error("cm", "--M", "2", "--tol", "1e-16") == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_twoblock(capsys):
@@ -142,6 +147,9 @@ def test_couple(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "stage,p_in,p1,p_out"
     assert lines[-1].startswith("summary,3,0,")
+    # 30 stages would draw 32*2^30 letters per sample; refused before any draw
+    assert run_error("couple", "--p-x", "1/1000000000", "--p-y", "1/2") == 2
+    assert "letters per sample" in capsys.readouterr().err
 
 
 def test_verify_pass_and_usage(capsys):
@@ -192,7 +200,9 @@ def test_json_round_trip(capsys):
                  ("maxword", "--n", "3", "--M", "2"),
                  ("twoblock", "--p", "1", "--q", "1", "--M", "3"),
                  ("cm", "--M", "2"),
-                 ("simulate", "--word", "11", "--M", "2", "--trials", "100")):
+                 ("simulate", "--word", "11", "--M", "2", "--trials", "100"),
+                 ("simulate", "--M", "2", "--p-x", "2/5", "--p-y", "3/5",
+                  "--n", "3", "--trials", "100")):
         _, out = run(capsys, *argv, "--format", "json")
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
@@ -203,3 +213,11 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[3].split(",")[1] == "5/8"
+
+
+def test_verify_out_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out = run(capsys, "verify", "lemma43", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text().splitlines()[-1] == "PASS"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_estimate_reproducible_and_calibrated():
     assert abs(one.estimate - exact) < 5 * math.sqrt(exact * (1 - exact) / 40000)
     assert one.stderr == pytest.approx(
         math.sqrt(one.estimate * (1 - one.estimate) / 40000))
-    assert one.to_json_dict()["word"] == "1010"
+    assert dataclasses.asdict(one)["word"] == "1010"
 
 
 def test_cross_estimate_decreases_with_length():
@@ -180,3 +181,18 @@ def test_chain_demo_report():
     assert report == again
     payload = report.to_json_dict()
     assert payload["ok"] is True and payload["window"] == 3
+
+
+def test_chain_demo_letter_budget(monkeypatch):
+    # 0.9 -> 0.1 plans five stages: 32*2^5 letters per sample
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 32 * 2 ** 5)
+    assert coupling_chain_demo(0.9, 0.1, length=32, samples=2,
+                               rng=RngConfig(1)).window == 3 ** 5
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 32 * 2 ** 5 - 1)
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample over the budget")
+
+    monkeypatch.setattr(montecarlo, "sample_sequence", no_draw)
+    with pytest.raises(ValueError, match="letters per sample"):
+        coupling_chain_demo(0.9, 0.1, length=32, samples=2, rng=RngConfig(1))
