@@ -4,14 +4,13 @@ from .core import (
     BinaryWord,
     Embedding,
     SequencePrefix,
-    SpacingProfile,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     enumerate_embeddings,
+    hitting_times,
     is_m_seen,
     s_sequence,
     seen_within,
-    spacing_profile,
     standard_embedding,
 )
 from .exactprob import (

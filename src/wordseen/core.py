@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 Bits = tuple[int, ...]
 
 
@@ -143,45 +145,6 @@ class Embedding:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-@dataclass(frozen=True)
-class SpacingProfile:
-    """Hitting times T_1 < T_2 < ... of successive word letters (T_0 = 0).
-
-    T_{k+1} is the first index after T_k where the sequence shows letter
-    w_{k+1}; tau_k = T_k - T_{k-1} are the spacings.
-    """
-
-    T: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for t in self.T:
-            if t <= prev:
-                raise ValueError(f"hitting times must increase, got {self.T}")
-            prev = t
-
-    @property
-    def tau(self) -> tuple[int, ...]:
-        prev = 0
-        out = []
-        for t in self.T:
-            out.append(t - prev)
-            prev = t
-        return tuple(out)
-
-    @classmethod
-    def from_tau(cls, tau: Iterable[int]) -> "SpacingProfile":
-        total = 0
-        T = []
-        for t in tau:
-            total += t
-            T.append(total)
-        return cls(tuple(T))
-
-    def __len__(self) -> int:
-        return len(self.T)
 
 
 # ---------------------------------------------------------------------------
@@ -344,71 +307,72 @@ def enumerate_embeddings(word: WordLike, prefix: PrefixLike, M: int) -> Iterator
 
 
 # ---------------------------------------------------------------------------
-# spacing-variable characterizations
+# hitting times and the spacing criteria on them
+#
+# The criteria take hitting times T with k on the last axis, one row per
+# prefix (a single row of shape (n,) works too), and return one verdict or
+# one row of deadlines per prefix.
 # ---------------------------------------------------------------------------
 
-def spacing_profile(word: WordLike, prefix: PrefixLike) -> SpacingProfile:
-    """Hitting times of the word's letters read left to right.
+def hitting_times(word: WordLike, ys: Union[PrefixLike, np.ndarray]) -> np.ndarray:
+    """Hitting times T_1 < ... < T_n of the word's letters read left to right:
+    T_k is the first position after T_(k-1) (T_0 = 0) showing w_k.
 
-    Errors if some letter is never hit within the prefix; callers that need
-    all of T_1..T_n on exhaustive prefixes usually extend the prefix with an
+    ys is one prefix or a 0/1 array of prefixes, shape (R, L); row r of the
+    (R, n) result belongs to prefix r, and np.diff(T, prepend=0) gives the
+    spacings.  Raises ValueError if some letter is never hit; callers that
+    need all of T_1..T_n on exhaustive prefixes extend them with an
     alternating tail first (the seen decision is unaffected past its horizon).
     """
     w = as_word(word)
-    y = as_prefix(prefix)
-    T = []
-    cur = 0
-    for k, letter in enumerate(w.letters, start=1):
-        hit = None
-        for i in range(cur + 1, len(y) + 1):
-            if y.bits[i - 1] == letter:
-                hit = i
-                break
-        if hit is None:
+    if not isinstance(ys, np.ndarray):
+        ys = np.array([as_prefix(ys).bits], dtype=np.uint8)
+    R, L = ys.shape
+    cols = np.arange(1, L + 1)
+    T = np.zeros((R, w.n), dtype=np.int64)
+    prev = np.zeros((R, 1), dtype=np.int64)
+    for k, letter in enumerate(w.letters):
+        match = (ys == letter) & (cols > prev)
+        hit = match.any(axis=1)
+        if not hit.all():
+            r = int(np.argmin(hit))
             raise ValueError(
-                f"letter w_{k}={letter} not hit after position {cur} "
-                f"within prefix of length {len(y)}")
-        T.append(hit)
-        cur = hit
-    return SpacingProfile(tuple(T))
+                f"letter w_{k + 1}={letter} not hit after position {prev[r, 0]} "
+                f"within prefix #{r} of length {L}")
+        T[:, k] = match.argmax(axis=1) + 1
+        prev = T[:, k:k + 1]
+    return T
 
 
-def constant_seen_by_spacings(profile: SpacingProfile, M: int, n: int) -> bool:
-    """For a constant word of length n: seen iff every spacing is at most M."""
+def constant_seen_by_spacings(T: np.ndarray, M: int) -> np.ndarray:
+    """For a constant word of length n = T.shape[-1]: seen iff every spacing
+    T_k - T_(k-1) is at most M."""
     _check_window(M)
-    if len(profile) < n:
-        raise ValueError(f"profile has {len(profile)} entries, need {n}")
-    return all(t <= M for t in profile.tau[:n])
+    return (np.diff(T, axis=-1, prepend=0) <= M).all(axis=-1)
 
 
-def alternating_seen_by_spacings(profile: SpacingProfile, M: int, n: int) -> bool:
-    """For the alternating word of length n: seen iff T_k <= k*M for all k
-    and T_k - T_j < (k - j + 1)*M for all 0 <= j < k <= n."""
+def alternating_seen_by_spacings(T: np.ndarray, M: int) -> np.ndarray:
+    """For the alternating word of length n = T.shape[-1]: seen iff T_k <= k*M
+    for all k and T_k - T_j < (k - j + 1)*M for all 0 <= j < k <= n."""
     _check_window(M)
-    if len(profile) < n:
-        raise ValueError(f"profile has {len(profile)} entries, need {n}")
-    T = (0,) + profile.T[:n]
-    for k in range(1, n + 1):
-        if T[k] > k * M:
-            return False
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            if T[k] - T[j] >= (k - j + 1) * M:
-                return False
-    return True
+    # with A_k = T_k - k*M the window condition reads A_k - A_j < M, so
+    # each k only has to clear the smallest A_j before it
+    A = np.insert(T, 0, 0, axis=-1) - M * np.arange(np.shape(T)[-1] + 1)
+    lowest = np.minimum.accumulate(A[..., :-1], axis=-1)
+    return ((A[..., 1:] <= 0) & (A[..., 1:] - lowest < M)).all(axis=-1)
 
 
-def s_sequence(profile: SpacingProfile, M: int) -> list[int]:
-    """Deadlines S_0 = 0, S_k = min(T_{k+1} - 1, S_{k-1} + M).
+def s_sequence(T: np.ndarray, M: int) -> np.ndarray:
+    """Deadlines S_0 = 0, S_k = min(T_(k+1) - 1, S_(k-1) + M), as many per
+    row as T has hitting times since S_k looks one hitting time ahead.
 
-    Defined for k up to len(profile) - 1 since S_k looks one hitting time
-    ahead.  The alternating word of length n is M-seen iff T_k <= S_k for
-    all 1 <= k <= n (with a profile of n + 1 hitting times).
+    The alternating word of length n is M-seen iff T_k <= S_k for all
+    1 <= k <= n (with n + 1 hitting times).
     """
     _check_window(M)
-    S = [0]
-    for k in range(1, len(profile)):
-        S.append(min(profile.T[k] - 1, S[k - 1] + M))
+    S = np.zeros(np.shape(T), dtype=np.int64)
+    for k in range(1, S.shape[-1]):
+        S[..., k] = np.minimum(T[..., k] - 1, S[..., k - 1] + M)
     return S
 
 

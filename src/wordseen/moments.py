@@ -65,9 +65,10 @@ def second_moment_exact(word: WordLike, M: int) -> Fraction:
 
 
 def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
-    """Direct sum over all M^(2n) pairs of admissible position sequences:
-    each pair weighs (1/2)^(2n - shared) when every coincident index pair
-    carries equal letters, else 0.  Oracle-sized only."""
+    """Oracle: E(N_n^2) as a direct sum over all M^(2n) pairs of admissible
+    position sequences, the walk-side cross-check of second_moment_exact.
+    Each pair weighs (1/2)^(2n - shared) when every coincident index pair
+    carries equal letters, else 0."""
     w = as_word(word)
     _check_window(M)
     n = w.n
@@ -101,18 +102,29 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
     return total
 
 
-def second_moment_oracle(word: WordLike, M: int, max_bits: int = 20) -> Fraction:
-    """Average N_n^2 over all 2^(n*M) equally likely prefixes."""
+def embedding_count_moments(word: WordLike, M: int,
+                            max_bits: int = 20) -> tuple[Fraction, Fraction]:
+    """Oracle: (E N_n, E N_n^2) averaged over all 2^(n*M) equally likely
+    prefixes in one count_embeddings_packed scan each.  The thm4 sweep
+    holds the first against (M/2)^n and the second against
+    second_moment_exact."""
     w = as_word(word)
     _check_window(M)
     L = w.n * M
     if L > max_bits:
         raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
                          f"{max_bits}-bit budget")
-    total = 0
+    total = square = 0
     for y in range(1 << L):
-        total += count_embeddings_packed(w.letters, y, L, M) ** 2
-    return Fraction(total, 1 << L)
+        count = count_embeddings_packed(w.letters, y, L, M)
+        total += count
+        square += count * count
+    return Fraction(total, 1 << L), Fraction(square, 1 << L)
+
+
+def second_moment_oracle(word: WordLike, M: int, max_bits: int = 20) -> Fraction:
+    """Oracle: E(N_n^2) over all 2^(n*M) prefixes, cross-checking second_moment_exact."""
+    return embedding_count_moments(word, M, max_bits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +206,9 @@ def random_word_second_moment(M: int, n: int, table: RenewalTable | None = None)
 
 
 def visits_moment_bruteforce(M: int, n: int) -> Fraction:
-    """E(2^Z_n) over all M^(2n) walk pairs, Z_n = coincidences by step n.
-    The renewal identity says this equals V_n."""
+    """Oracle: E(2^Z_n) over all M^(2n) walk pairs, Z_n = coincidences by
+    step n.  The renewal identity says this equals V_n, so it cross-checks
+    renewal_table."""
     _check_window(M)
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")

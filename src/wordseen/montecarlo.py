@@ -307,6 +307,9 @@ def plan_parameter_path(p: float, p_target: float,
         if math.isclose(cur, p_target, rel_tol=0, abs_tol=1e-15):
             return stages
         lo, hi = cur ** 2, 1 - (1 - cur) ** 2
+        if not lo < hi:
+            raise ValueError(f"density {cur} is too close to 0 or 1 for a "
+                             f"coupling stage: [{lo}, {hi}] is empty in floats")
         nxt = min(max(p_target, lo), hi)
         p1 = (nxt - lo) / (2 * cur * (1 - cur))
         p1 = min(max(p1, 0.0), 1.0)

@@ -170,7 +170,9 @@ def sigma_closed_form(M: int, p: int, j: int) -> Fraction:
 
 
 def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
-    """(sigma, sigma') by exact dynamic programming over the spacing chain.
+    """Oracle: (sigma, sigma') by exact dynamic programming over the
+    spacing chain; cross-checks sigma_closed_form (u_table runs it when
+    check_oracle_upto is set).
 
     Walks T_1..T_{p+j} with iid geometric(1/2) spacings; the first p steps
     are conditioned on spacing <= M by dropping violating mass, later steps

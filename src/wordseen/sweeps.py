@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, sqrt
 
 import numpy as np
@@ -15,17 +16,16 @@ from .core import (
     SequencePrefix,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
-    count_embeddings_packed,
+    hitting_times,
     is_m_seen,
     s_sequence,
-    spacing_profile,
 )
 from .exactprob import exact_seen_probability, max_word_probability
 from .moments import (
+    embedding_count_moments,
     expected_embeddings,
     renewal_table,
     second_moment_exact,
-    second_moment_oracle,
     growth_constant,
     random_word_second_moment,
     visits_moment_bruteforce,
@@ -74,7 +74,7 @@ class SweepResult:
 # thm1a: alternating word maximizes (window 2: assert; wider: report)
 # ---------------------------------------------------------------------------
 
-def sweep_max_word(M: int = 2, n_max: int = 8, suffix_n_max: int = 6) -> SweepResult:
+def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
     res = SweepResult(f"max-word sweep M={M}, n <= {n_max}")
     vtab = vn_pair_recursion(M, n_max + 1)
     for n in range(1, n_max + 1):
@@ -100,15 +100,15 @@ def sweep_max_word(M: int = 2, n_max: int = 8, suffix_n_max: int = 6) -> SweepRe
                      f"the larger root {target}")
         res.note(f"v ratio after n={n_max}: {float(vtab.ratio(n_max)):.7f} "
                  f"-> {target:.7f}")
-        # start-position split behind the maximality proof, every short word
-        from itertools import product as iproduct
-        for n in range(1, suffix_n_max + 1):
-            for letters in iproduct((0, 1), repeat=n):
+        # start-position split behind the maximality proof: every word up to
+        # length 6, the alternating word beyond
+        for n in range(1, 7):
+            for letters in product((0, 1), repeat=n):
                 report = verify_suffix_bounds_m2(BinaryWord(letters))
                 if not report.ok:
                     res.fail(f"suffix bounds break for word "
                              f"{BinaryWord(letters)}")
-        for n in range(suffix_n_max + 1, n_max + 1):
+        for n in range(7, n_max + 1):
             if not verify_suffix_bounds_m2(BinaryWord.alternating(1, n)).ok:
                 res.fail(f"suffix bounds break for the alternating word, n={n}")
         res.note(f"max = v_n with alternating maximizers for all n <= {n_max}; "
@@ -120,13 +120,12 @@ def sweep_max_word(M: int = 2, n_max: int = 8, suffix_n_max: int = 6) -> SweepRe
 # thm1b: two-block sandwich P(seen) <= u_{p,q} <= v_{p+q}
 # ---------------------------------------------------------------------------
 
-def sweep_two_block_chain(Ms=(2, 3, 4, 5), total_max: int = 10,
-                          oracle_upto: int = 8) -> SweepResult:
-    res = SweepResult(f"two-block chain M in {tuple(Ms)}, p+q <= {total_max}")
-    for M in Ms:
+def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
+    res = SweepResult(f"two-block chain M in (2, 3, 4, 5), p+q <= {total_max}")
+    for M in (2, 3, 4, 5):
         ab = AlphaBeta.for_window(M)
         try:
-            table = u_table(M, total_max, total_max, check_oracle_upto=oracle_upto)
+            table = u_table(M, total_max, total_max, check_oracle_upto=8)
         except AssertionError as err:
             res.fail(f"M={M}: {err}")
             continue
@@ -160,115 +159,49 @@ def sweep_two_block_chain(Ms=(2, 3, 4, 5), total_max: int = 10,
 # ---------------------------------------------------------------------------
 
 def _all_prefixes(L: int) -> np.ndarray:
-    vals = np.arange(1 << L, dtype=np.uint32)
-    shifts = np.arange(L, dtype=np.uint32)
-    return ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    rows = np.arange(1 << L, dtype=np.uint32)[:, None]
+    return ((rows >> np.arange(L, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def _hitting_times(ys: np.ndarray, letters) -> np.ndarray:
-    """T_1..T_k per row; every letter must be hit (pad rows first)."""
-    R, L = ys.shape
-    cols = np.arange(1, L + 1, dtype=np.int64)
-    T = np.zeros(R, dtype=np.int64)
-    out = []
-    for letter in letters:
-        match = (ys == letter) & (cols[None, :] > T[:, None])
-        if not match.any(axis=1).all():
-            raise RuntimeError("prefix too short for hitting times; pad it")
-        T = match.argmax(axis=1) + 1
-        out.append(T)
-    return np.stack(out, axis=1)
+def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray) -> None:
+    if not (verdict == seen).all():
+        res.fail(f"{what} disagrees at prefix #{int(np.argmax(verdict != seen))}")
 
 
-def sweep_spacing_equivalences(Ms=(2, 3), n_max: int = 6) -> SweepResult:
-    res = SweepResult(f"spacing characterizations M in {tuple(Ms)}, n <= {n_max}")
-    for M in Ms:
+def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
+    """Every spacing criterion of core against batch_seen, on every prefix."""
+    res = SweepResult(f"spacing characterizations M in (2, 3), n <= {n_max}")
+    for M in (2, 3):
         ab = AlphaBeta.for_window(M)
         vs = vn_single_recursion(M, n_max)
         for n in range(1, n_max + 1):
-            L = n * M
-            ys = _all_prefixes(L)
+            ys = _all_prefixes(n * M)
             R = ys.shape[0]
             # tail guarantees every letter keeps being hit past the horizon
-            tail = np.tile(np.array([1, 0], dtype=np.uint8), n + 2)
-            ys_ext = np.concatenate([ys, np.tile(tail, (R, 1))], axis=1)
-
+            ys_ext = np.concatenate([ys, np.tile(np.uint8([1, 0]), (R, n + 2))], axis=1)
             for first in (1, 0):
                 const = BinaryWord.constant(first, n)
-                seen = batch_seen(np.tile(np.array(const.letters, dtype=np.uint8),
-                                           (R, 1)), ys, M)
-                T = _hitting_times(ys_ext, const.letters)
-                tau_ok = np.ones(R, dtype=bool)
-                prev = np.zeros(R, dtype=np.int64)
-                for k in range(n):
-                    tau_ok &= (T[:, k] - prev) <= M
-                    prev = T[:, k]
-                if not (tau_ok == seen).all():
-                    idx = int(np.argmax(tau_ok != seen))
-                    res.fail(f"M={M}, n={n}, constant({first}): spacing test "
-                             f"disagrees at prefix #{idx}")
+                seen = batch_seen(np.tile(np.uint8(const.letters), (R, 1)), ys, M)
+                T = hitting_times(const, ys_ext)
+                _agree(res, f"M={M}, n={n}, constant({first}): spacing test",
+                       constant_seen_by_spacings(T, M), seen)
                 if first == 1 and Fraction(int(seen.sum()), R) != ab.alpha ** n:
                     res.fail(f"M={M}, n={n}: constant count != alpha^n")
 
-            for first in (1, 0):
                 alt = BinaryWord.alternating(first, n)
-                seen = batch_seen(np.tile(np.array(alt.letters, dtype=np.uint8),
-                                           (R, 1)), ys, M)
-                ext = BinaryWord.alternating(first, n + 1)
-                T = _hitting_times(ys_ext, ext.letters)  # (R, n+1)
-                full = np.concatenate(
-                    [np.zeros((R, 1), dtype=np.int64), T[:, :n]], axis=1)
-                crit = np.ones(R, dtype=bool)
-                for k in range(1, n + 1):
-                    crit &= full[:, k] <= k * M
-                for j in range(n + 1):
-                    for k in range(j + 1, n + 1):
-                        crit &= (full[:, k] - full[:, j]) < (k - j + 1) * M
-                if not (crit == seen).all():
-                    idx = int(np.argmax(crit != seen))
-                    res.fail(f"M={M}, n={n}, alternating({first}): window "
-                             f"criterion disagrees at prefix #{idx}")
-                # deadline form of the same criterion
-                S = np.zeros(R, dtype=np.int64)
-                dead = np.ones(R, dtype=bool)
-                for k in range(1, n + 1):
-                    S = np.minimum(T[:, k] - 1, S + M)
-                    dead &= T[:, k - 1] <= S
-                if not (dead == seen).all():
-                    idx = int(np.argmax(dead != seen))
-                    res.fail(f"M={M}, n={n}, alternating({first}): deadline "
-                             f"criterion disagrees at prefix #{idx}")
+                seen = batch_seen(np.tile(np.uint8(alt.letters), (R, 1)), ys, M)
+                # n + 1 hitting times: the deadlines look one letter ahead
+                T = hitting_times(BinaryWord.alternating(first, n + 1), ys_ext)
+                tag = f"M={M}, n={n}, alternating({first})"
+                _agree(res, f"{tag}: window criterion",
+                       alternating_seen_by_spacings(T[:, :n], M), seen)
+                _agree(res, f"{tag}: deadline criterion",
+                       (T[:, :n] <= s_sequence(T, M)[:, 1:]).all(axis=1), seen)
                 # small spacings see every word
-                tau_small = np.ones(R, dtype=bool)
-                prev = np.zeros(R, dtype=np.int64)
-                for k in range(n):
-                    tau_small &= (T[:, k] - prev) <= M
-                    prev = T[:, k]
-                if not (~tau_small | seen).all():
-                    res.fail(f"M={M}, n={n}, alternating({first}): small "
-                             f"spacings yet unseen")
+                if (constant_seen_by_spacings(T[:, :n], M) & ~seen).any():
+                    res.fail(f"{tag}: small spacings yet unseen")
                 if first == 1 and Fraction(int(seen.sum()), R) != vs[n]:
                     res.fail(f"M={M}, n={n}: alternating count != v_n")
-                # scalar helpers against the vector forms, on a slice
-                for idx in np.unique(np.linspace(0, R - 1, 48, dtype=np.int64)):
-                    pad = SequencePrefix(tuple(int(b) for b in ys_ext[idx]))
-                    prof_a = spacing_profile(ext, pad)
-                    got = alternating_seen_by_spacings(prof_a, M, n)
-                    if got != bool(seen[idx]):
-                        res.fail(f"M={M}, n={n}: scalar window criterion "
-                                 f"disagrees at prefix #{int(idx)}")
-                    S = s_sequence(prof_a, M)
-                    by_deadline = all(prof_a.T[k - 1] <= S[k]
-                                      for k in range(1, n + 1))
-                    if by_deadline != bool(seen[idx]):
-                        res.fail(f"M={M}, n={n}: scalar deadline criterion "
-                                 f"disagrees at prefix #{int(idx)}")
-                    const_word = BinaryWord.constant(first, n)
-                    prof_c = spacing_profile(const_word, pad)
-                    seen_c = is_m_seen(const_word, pad, M)
-                    if constant_seen_by_spacings(prof_c, M, n) != seen_c:
-                        res.fail(f"M={M}, n={n}: scalar constant criterion "
-                                 f"disagrees at prefix #{int(idx)}")
         res.note(f"M={M}: all spacing forms match the engine up to n={n_max}")
     return res
 
@@ -278,9 +211,9 @@ def worked_four_letter_example() -> SweepResult:
     and the two-letter extensions that decide visibility."""
     res = SweepResult("four-letter worked example")
     word = BinaryWord.from_string("1100")
-    prof = spacing_profile(word, "110110")
-    if prof.tau != (1, 1, 1, 3):
-        res.fail(f"spacings {prof.tau} != (1, 1, 1, 3)")
+    tau = tuple(np.diff(hitting_times(word, "110110")[0], prepend=0).tolist())
+    if tau != (1, 1, 1, 3):
+        res.fail(f"spacings {tau} != (1, 1, 1, 3)")
     for ext, expect in (("00", True), ("01", True), ("10", True), ("11", False)):
         got = is_m_seen(word, "110110" + ext, 2)
         if got != expect:
@@ -294,30 +227,27 @@ def worked_four_letter_example() -> SweepResult:
 # thm4: second moments
 # ---------------------------------------------------------------------------
 
-def sweep_second_moment(n_oracle: int = 4, Ms=(2, 3), n_avg: int = 6) -> SweepResult:
-    res = SweepResult(f"second moments: oracle n <= {n_oracle}, M in {tuple(Ms)}; "
+def sweep_second_moment() -> SweepResult:
+    n_oracle, Ms, n_avg = 4, (2, 3), 6
+    res = SweepResult(f"second moments: oracle n <= {n_oracle}, M in {Ms}; "
                       f"random-word identity n <= {n_avg}")
-    from itertools import product as iproduct
     for M in Ms:
         for n in range(1, n_oracle + 1):
-            L = n * M
-            for letters in iproduct((0, 1), repeat=n):
+            for letters in product((0, 1), repeat=n):
                 w = BinaryWord(letters)
                 exact = second_moment_exact(w, M)
-                oracle = second_moment_oracle(w, M)
+                mean, oracle = embedding_count_moments(w, M)
                 if exact != oracle:
                     res.fail(f"M={M}, word {w}: walk value {exact} != "
                              f"enumeration {oracle}")
-                total = sum(count_embeddings_packed(letters, y, L, M)
-                            for y in range(1 << L))
-                if Fraction(total, 1 << L) != expected_embeddings(M, n):
+                if mean != expected_embeddings(M, n):
                     res.fail(f"M={M}, word {w}: mean embedding count != "
                              f"(M/2)^n")
     table = renewal_table(2, n_avg)
     for n in range(1, n_avg + 1):
         for M in Ms:
             values = {}
-            for letters in iproduct((0, 1), repeat=n):
+            for letters in product((0, 1), repeat=n):
                 w = BinaryWord(letters)
                 values[w] = second_moment_exact(w, M)
             if M == 2:
@@ -341,9 +271,8 @@ def sweep_second_moment(n_oracle: int = 4, Ms=(2, 3), n_avg: int = 6) -> SweepRe
 # lemma43: polynomial certificates
 # ---------------------------------------------------------------------------
 
-def sweep_polynomial_certificates(M_coeff_max: int = 20, Ms_grid=(2, 3, 4, 5),
-                                  grid: int = 10, gen_p_max: int = 4,
-                                  gen_M_max: int = 4, gen_order: int = 12) -> SweepResult:
+def sweep_polynomial_certificates() -> SweepResult:
+    M_coeff_max, grid = 20, 10
     res = SweepResult(f"polynomial certificates: Q >= 0 for M <= {M_coeff_max}, "
                       f"difference grids p,q <= {grid}")
     for M in range(2, M_coeff_max + 1):
@@ -351,7 +280,7 @@ def sweep_polynomial_certificates(M_coeff_max: int = 20, Ms_grid=(2, 3, 4, 5),
         bad = [i for i, c in enumerate(poly.q_coeffs) if c < 0]
         if bad:
             res.fail(f"M={M}: negative cofactor coefficients at {bad}")
-    for M in Ms_grid:
+    for M in (2, 3, 4, 5):
         ab = AlphaBeta.for_window(M)
         table = u_table(M, grid + 1, grid + 1)
         powers = [[ab.alpha ** p for _ in range(grid + 2)] for p in range(grid + 2)]
@@ -368,11 +297,10 @@ def sweep_polynomial_certificates(M_coeff_max: int = 20, Ms_grid=(2, 3, 4, 5),
                 if du != -ab.beta * dw:
                     res.fail(f"M={M}, p={p}, q={q}: u and w differences not "
                              f"proportional")
-    for M in range(2, gen_M_max + 1):
-        for p in range(gen_p_max + 1):
-            if not sigma_generating_identity(M, p, gen_order):
-                res.fail(f"M={M}, p={p}: generating identity broken by order "
-                         f"{gen_order}")
+    for M in range(2, 5):
+        for p in range(5):
+            if not sigma_generating_identity(M, p, 12):
+                res.fail(f"M={M}, p={p}: generating identity broken by order 12")
     if res.ok:
         res.note("all certificates hold")
     return res
@@ -382,8 +310,8 @@ def sweep_polynomial_certificates(M_coeff_max: int = 20, Ms_grid=(2, 3, 4, 5),
 # renewal: walk-pair surplus facts
 # ---------------------------------------------------------------------------
 
-def sweep_renewal_facts(M_max: int = 6, N: int = 100, z_n_max: int = 5,
-                        c_tol: float = 1e-7) -> SweepResult:
+def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
+    c_tol = 1e-7
     res = SweepResult(f"renewal facts M <= {M_max}, n <= {N}")
     for M in range(1, M_max + 1):
         table = renewal_table(M, N)
@@ -408,7 +336,7 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100, z_n_max: int = 5,
                     res.fail(f"M=2, n={n}: V ratio dropped below 4/3")
                     break
     for M in (2, 3):
-        for n in range(1, z_n_max + 1):
+        for n in range(1, 6):
             brute = visits_moment_bruteforce(M, n)
             expect = renewal_table(M, n).V[n]
             if brute != expect:
@@ -506,9 +434,9 @@ PANEL = (
 )
 
 
-def mc_panel(trials: int = 10 ** 5, seed: int = 20240818,
-             min_passing: int = 19) -> SweepResult:
+def mc_panel() -> SweepResult:
     from .montecarlo import estimate_seen_probability
+    trials, seed = 10 ** 5, 20240818
     res = SweepResult(f"Monte Carlo panel, {trials} trials per case")
     passing = 0
     for case, (family, bits, M, p) in enumerate(PANEL):
@@ -522,17 +450,17 @@ def mc_panel(trials: int = 10 ** 5, seed: int = 20240818,
         mark = "ok" if hit else "MISS"
         res.note(f"{family} {bits} M={M} p={p}: exact {exact:.6f} "
                  f"estimate {est.estimate:.6f} [{mark}]")
-    if passing < min_passing:
+    if passing < 19:
         res.fail(f"only {passing}/{len(PANEL)} cases within 4 standard errors")
     else:
         res.note(f"{passing}/{len(PANEL)} cases within 4 standard errors")
     return res
 
 
-def red_grid_equivalence(cases: int = 1000, seed: int = 20240819) -> SweepResult:
+def red_grid_equivalence() -> SweepResult:
+    cases = 1000
     res = SweepResult(f"red-grid path existence vs the engine on {cases} cases")
-    rng = RngConfig(seed)
-    gen = rng.stream(42)
+    gen = RngConfig(20240819).stream(42)
     for _ in range(cases):
         n = int(gen.integers(1, 7))
         M = int(gen.integers(2, 4))

@@ -71,8 +71,7 @@ def test_alternating_maximizes_window_two(verdict):
 @pytest.mark.criterion(4)
 def test_two_block_sandwich(verdict):
     start = time.monotonic()
-    res = sweeps.sweep_two_block_chain(Ms=(2, 3, 4, 5), total_max=10,
-                                       oracle_upto=8)
+    res = sweeps.sweep_two_block_chain(total_max=10)
     elapsed = time.monotonic() - start
     assert elapsed < 300, f"took {elapsed:.1f}s, budget 300s"
     _assert_sweep(res, verdict)
@@ -80,16 +79,13 @@ def test_two_block_sandwich(verdict):
 
 @pytest.mark.criterion(5)
 def test_polynomial_certificates(verdict):
-    res = sweeps.sweep_polynomial_certificates(M_coeff_max=20,
-                                               Ms_grid=(2, 3, 4, 5), grid=10,
-                                               gen_p_max=4, gen_M_max=4,
-                                               gen_order=12)
+    res = sweeps.sweep_polynomial_certificates()
     _assert_sweep(res, verdict)
 
 
 @pytest.mark.criterion(6)
 def test_spacing_characterizations(verdict):
-    res = sweeps.sweep_spacing_equivalences(Ms=(2, 3), n_max=6)
+    res = sweeps.sweep_spacing_equivalences(n_max=6)
     assert res.ok, res.counterexample
     res2 = sweeps.worked_four_letter_example()
     assert res2.ok, res2.counterexample
@@ -98,13 +94,13 @@ def test_spacing_characterizations(verdict):
 
 @pytest.mark.criterion(7)
 def test_second_moments(verdict):
-    res = sweeps.sweep_second_moment(n_oracle=4, Ms=(2, 3), n_avg=6)
+    res = sweeps.sweep_second_moment()
     _assert_sweep(res, verdict)
 
 
 @pytest.mark.criterion(8)
 def test_renewal_facts(verdict):
-    res = sweeps.sweep_renewal_facts(M_max=6, N=100, z_n_max=5)
+    res = sweeps.sweep_renewal_facts(M_max=6, N=100)
     _assert_sweep(res, verdict)
 
 
@@ -116,8 +112,8 @@ def test_couplings(verdict):
 
 @pytest.mark.criterion(10)
 def test_monte_carlo_calibration(verdict):
-    res = sweeps.mc_panel(trials=10 ** 5, min_passing=19)
+    res = sweeps.mc_panel()
     assert res.ok, res.counterexample
-    res2 = sweeps.red_grid_equivalence(cases=1000)
+    res2 = sweeps.red_grid_equivalence()
     assert res2.ok, res2.counterexample
     verdict["ok"] = True

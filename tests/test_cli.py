@@ -150,6 +150,9 @@ def test_couple(capsys):
     # 30 stages would draw 32*2^30 letters per sample; refused before any draw
     assert run_error("couple", "--p-x", "1/1000000000", "--p-y", "1/2") == 2
     assert "letters per sample" in capsys.readouterr().err
+    # 1 - (1 - 1e-20)^2 rounds to 0: the first stage's interval is empty
+    assert run_error("couple", "--p-x", "1/100000000000000000000", "--p-y", "1/2") == 2
+    assert "is empty in floats" in capsys.readouterr().err
 
 
 def test_verify_pass_and_usage(capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,17 +8,16 @@ from wordseen.core import (
     BinaryWord,
     Embedding,
     SequencePrefix,
-    SpacingProfile,
     _advance,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     count_embeddings_packed,
     enumerate_embeddings,
+    hitting_times,
     is_m_seen,
     s_sequence,
     seen_packed,
     seen_within,
-    spacing_profile,
     standard_embedding,
 )
 
@@ -57,14 +57,6 @@ def test_embedding_validation():
         Embedding((1, 1), 3)      # not increasing
 
 
-def test_spacing_profile_roundtrip():
-    prof = SpacingProfile.from_tau((1, 2, 1))
-    assert prof.T == (1, 3, 4)
-    assert prof.tau == (1, 2, 1)
-    with pytest.raises(ValueError):
-        SpacingProfile((2, 2))
-
-
 # ---------------------------------------------------------------------------
 # the seen decision
 # ---------------------------------------------------------------------------
@@ -73,7 +65,7 @@ def test_two_letter_extensions_decide():
     """After 110110 the word 1100 is still open: any extension with a zero
     settles it, a double one kills it."""
     w = BinaryWord.from_string("1100")
-    assert spacing_profile(w, "110110").tau == (1, 1, 1, 3)
+    assert np.diff(hitting_times(w, "110110"), prepend=0).tolist() == [[1, 1, 1, 3]]
     assert is_m_seen(w, "11011000", 2)
     assert is_m_seen(w, "11011001", 2)
     assert is_m_seen(w, "11011010", 2)
@@ -210,27 +202,55 @@ def test_advance_antichain_decides_seen(letters, M, data):
 # ---------------------------------------------------------------------------
 
 def test_constant_criterion():
-    prof = spacing_profile("111", "1011010")
-    assert constant_seen_by_spacings(prof, 2, 3)
-    prof2 = spacing_profile("11", "100100")
-    assert not constant_seen_by_spacings(prof2, 2, 2)
+    assert constant_seen_by_spacings(hitting_times("111", "1011010"), 2).tolist() == [True]
+    assert constant_seen_by_spacings(hitting_times("11", "100100"), 2).tolist() == [False]
 
 
 def test_alternating_criterion_catches_window_sum():
     """T_k <= k*M everywhere and adjacent pairs fine, but T_4 - T_2 >= 3*M:
     only the non-adjacent window rules this one out."""
-    prof = SpacingProfile((1, 2, 5, 8))
-    assert all(prof.T[k - 1] <= k * 2 for k in range(1, 5))
-    assert all(prof.T[k + 1] - prof.T[k] < 2 * 2 for k in range(3))
-    assert not alternating_seen_by_spacings(prof, 2, 4)
+    T = np.array([1, 2, 5, 8])
+    assert all(T[k - 1] <= k * 2 for k in range(1, 5))
+    assert all(T[k + 1] - T[k] < 2 * 2 for k in range(3))
+    assert not alternating_seen_by_spacings(T, 2)
     # the sequence realizing these hitting times truly fails
+    assert hitting_times("1010", "10001110").tolist() == [T.tolist()]
     assert not is_m_seen("1010", "10001110", 2)
 
 
 def test_s_sequence_deadlines():
     # T = (1, 2, 3, 6, 7): S_1 = min(T_2 - 1, 0 + 2) = 1, and so on
-    prof = SpacingProfile.from_tau((1, 1, 1, 3, 1))
-    assert s_sequence(prof, 2) == [0, 1, 2, 4, 6]
+    T = np.cumsum([1, 1, 1, 3, 1])
+    assert s_sequence(T, 2).tolist() == [0, 1, 2, 4, 6]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_criteria_on_all_prefixes_match_each_prefix(n, M):
+    """One call on all 2^(n*M) prefixes gives, row by row, what a call on
+    that prefix alone gives; an alternating tail keeps every letter hit."""
+    tail = (1, 0) * (n + 1)
+    ys = np.array([y + tail for y in itertools.product((0, 1), repeat=n * M)])
+    for word in (BinaryWord.constant(1, n), BinaryWord.alternating(0, n + 1)):
+        T = hitting_times(word, ys)
+        assert T.shape == (len(ys), word.n)
+        batch = [constant_seen_by_spacings(T, M), alternating_seen_by_spacings(T, M),
+                 s_sequence(T, M)]
+        for r, y in enumerate(ys):
+            alone = hitting_times(word, tuple(y))
+            assert alone.tolist() == [T[r].tolist()]
+            for criterion, rows in zip((constant_seen_by_spacings,
+                                        alternating_seen_by_spacings, s_sequence),
+                                       batch):
+                assert criterion(alone, M).tolist() == [rows[r].tolist()]
+
+
+def test_hitting_times_raise_on_a_letter_never_hit():
+    with pytest.raises(ValueError, match="w_2=1 not hit after position 1"):
+        hitting_times("11", "100")
+    with pytest.raises(ValueError, match="prefix #1"):
+        hitting_times("01", np.array([[0, 1], [1, 1]]))
+    assert hitting_times("", "").shape == (1, 0)
 
 
 def test_sequence_prefix_coercions():
