@@ -83,7 +83,7 @@ class BinaryWord:
 
 @dataclass(frozen=True)
 class SequencePrefix:
-    """A finite even-odds 0/1 sequence prefix; ``bits[i]`` is Y_{i+1}."""
+    """A finite 0/1 sequence prefix, drawn at any bias; ``bits[i]`` is Y_{i+1}."""
 
     bits: Bits
 

@@ -1,9 +1,9 @@
 """Seeded simulation: seen-probability estimates, red grids, and couplings.
 
 All randomness flows through RngConfig so identical configurations replay
-identical sample streams.  Estimation batches trials into numpy bit
-matrices and runs the reachability recursion across all trials at once;
-row i of a batch is trial i, so per-trial draws stay addressable.
+identical sample streams.  Estimation draws trials as rows of numpy 0/1
+arrays (row i is trial i, so per-trial draws stay addressable) and decides
+them 64 to a uint64 lane with seen_packed's doubling shifts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     SequencePrefix,
     WordLike,
     _check_window,
+    _smear_steps,
     as_prefix,
     as_word,
     seen_within,
@@ -56,27 +57,41 @@ def sample_sequence(p: float, length: int, gen: np.random.Generator) -> Sequence
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     bits = (gen.random(length) < p).astype(np.uint8)
-    return SequencePrefix(tuple(int(b) for b in bits))
+    return SequencePrefix(bits.tolist())
+
+
+def _lanes(rows: np.ndarray) -> np.ndarray:
+    """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
+    r // 64.  The bits past row R are zero."""
+    R, k = rows.shape
+    packed = np.zeros((k, -(-R // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-R // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
-    """Vectorized reachability over rows: words (R, n) against ys (R, L)."""
+    """Reachability over rows: words (R, n) against ys (R, L), one bool per row.
+
+    The bitset kernel of seen_packed turned on its side: bit r % 64 of
+    reach[m, r // 64] says trial r's word prefix can end at position m, so
+    each letter costs O(log M) doubling shifts of whole (L + 1, R/64) arrays.
+    Padding bits past row R see every letter and are cut off at the end.
+    """
     R, L = ys.shape
-    n = words.shape[1]
-    reach = np.zeros((R, L + 1), dtype=bool)
-    reach[:, 0] = True
-    alive = np.ones(R, dtype=bool)
-    for k in range(n):
-        spread = np.zeros((R, L + 1), dtype=bool)
-        for g in range(1, M + 1):
-            spread[:, g:] |= reach[:, :-g]
-        match = ys == words[:, k:k + 1]
-        reach[:, :] = False
-        reach[:, 1:] = spread[:, 1:] & match
-        alive &= reach.any(axis=1)
-        if not alive.any():
+    Y = _lanes(ys)
+    W = _lanes(words)
+    reach = np.zeros((L + 1, Y.shape[1]), dtype=np.uint64)
+    reach[0] = ~np.uint64(0)
+    steps = _smear_steps(M)
+    for letter in W:
+        for s in steps:
+            reach[s:] |= reach[:-s]
+        reach[1:] = reach[:-1] & ~(Y ^ letter)
+        reach[0] = 0
+        if not reach.any():
             break
-    return reach.any(axis=1)
+    seen = np.bitwise_or.reduce(reach, axis=0)
+    return np.unpackbits(seen.view(np.uint8), bitorder="little")[:R].astype(bool)
 
 
 def _chunk_rows(trials: int, width: int) -> Iterator[int]:
@@ -267,7 +282,7 @@ def coupling_F(x: Union[SequencePrefix, str, Sequence[int]],
     mixed = sums == 1
     if mixed.any():
         out[mixed] = (gen.random(int(mixed.sum())) < p1).astype(np.uint8)
-    return SequencePrefix(tuple(int(b) for b in out))
+    return SequencePrefix(out.tolist())
 
 
 def coupling_witness(x: Union[SequencePrefix, str, Sequence[int]],

@@ -370,7 +370,7 @@ def sweep_couplings(samples: int = 10 ** 4, seed: int = 20240817) -> SweepResult
     for case, (p, p1) in enumerate(combos):
         gen = rng.stream(10, case)
         x_bits = (gen.random(2 * samples) < p).astype(np.uint8)
-        x = SequencePrefix(tuple(int(b) for b in x_bits))
+        x = SequencePrefix(x_bits.tolist())
         out = coupling_F(x, p1, gen)
         try:
             positions = coupling_witness(x, out)

@@ -83,6 +83,38 @@ def test_batch_seen_rows_match_scalar(n, M, R, data):
         assert bool(got[r]) == is_m_seen(tuple(words[r]), tuple(ys[r]), M)
 
 
+@pytest.mark.parametrize("R", [1, 63, 64, 65, 128, 129])
+def test_batch_seen_across_lane_boundaries(R):
+    """Row counts at and past multiples of 64, where rows share uint64 lanes
+    with padding bits that must never count as seen."""
+    gen = np.random.default_rng(R)
+
+    def check(words, ys, M):
+        got = batch_seen(words, ys, M)
+        assert got.dtype == bool and got.shape == (R,)
+        for r in range(R):
+            assert bool(got[r]) == is_m_seen(tuple(words[r]), tuple(ys[r]), M)
+        return got
+
+    for n, M in ((0, 1), (0, 7), (3, 1), (4, 2), (2, 7), (5, 3)):
+        L = n * M
+        zeros = np.zeros((R, n), dtype=np.uint8)
+        assert (check(zeros, np.ones((R, L), dtype=np.uint8), M) == (n == 0)).all()
+        assert check(zeros, np.zeros((R, L), dtype=np.uint8), M).all()
+        mixed = gen.integers(0, 2, (R, n), dtype=np.uint8)
+        check(mixed, gen.integers(0, 2, (R, L), dtype=np.uint8), M)
+        check(mixed, (gen.random((R, L)) < 0.8).astype(np.uint8), M)
+
+
+def test_seeded_estimates_pinned():
+    """Seeded streams and estimates, pinned to the values of the unpacked
+    bool kernel; the first draws its trials in two chunks."""
+    assert estimate_seen_probability("1100011101001010", 4, 0.5, 100_000,
+                                     RngConfig(1)).estimate == 0.76625
+    assert estimate_x_seen_in_y(3, 0.4, 0.6, 8, 100_000,
+                                RngConfig(1)).estimate == 0.42573
+
+
 def test_sample_sequence_density():
     gen = RngConfig(5).stream(0)
     seq = sample_sequence(0.2, 50000, gen)
