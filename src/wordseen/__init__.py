@@ -50,7 +50,6 @@ from .moments import (
     visits_moment_bruteforce,
 )
 from .montecarlo import (
-    RedGrid,
     RngConfig,
     admissible_path_exists,
     coupling_F,

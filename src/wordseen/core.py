@@ -94,10 +94,6 @@ class SequencePrefix:
     def from_string(cls, s: str) -> "SequencePrefix":
         return cls(_coerce_bits(s, "sequence"))
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -124,6 +120,16 @@ def as_prefix(y: PrefixLike) -> SequencePrefix:
 def _check_window(M: int) -> None:
     if M < 1:
         raise ValueError(f"window M must be >= 1, got {M}")
+
+
+# The exhaustive oracles scan all 2^L prefixes of L = n*M letters.
+_PREFIX_BITS = 20
+
+
+def _check_prefix_bits(L: int) -> None:
+    if L > _PREFIX_BITS:
+        raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
+                         f"{_PREFIX_BITS}-bit budget")
 
 
 @dataclass(frozen=True)

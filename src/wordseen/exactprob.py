@@ -14,20 +14,20 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .core import BinaryWord, WordLike, _advance, _check_window, as_word, seen_packed
+from .core import (BinaryWord, WordLike, _advance, _check_prefix_bits, _check_window,
+                   as_word, seen_packed)
 
 Rational = Union[Fraction, int, str]
 
 ACCEPT = "ACCEPT"
 DEAD = "DEAD"
 
+# Subset states one automaton may discover.
+_STATE_CAP = 10 ** 6
+
 
 class StateCapExceeded(RuntimeError):
-    """Raised when subset-state discovery outgrows the configured cap."""
-
-
-def as_rational(p: Rational) -> Fraction:
-    return p if isinstance(p, Fraction) else Fraction(p)
+    """Raised when subset-state discovery outgrows _STATE_CAP."""
 
 
 def _check_prob(p: Fraction) -> Fraction:
@@ -65,7 +65,7 @@ class ProbAutomaton:
     def seen_probability(self, p: Rational) -> Fraction:
         """Count the letter paths of length n*M that end in ACCEPT, weighing
         each letter (b - a, a) at p = a/b, and divide once by b^(n*M)."""
-        prob = _check_prob(as_rational(p))
+        prob = _check_prob(Fraction(p))
         b = prob.denominator
         w0, w1 = b - prob.numerator, prob.numerator
         steps = self.word.n * self.M
@@ -80,22 +80,8 @@ class ProbAutomaton:
         accepted = sum(count for i, count in live.items() if self.states[i] == ACCEPT)
         return Fraction(accepted, b ** steps)
 
-    def dump_lines(self) -> list[str]:
-        """One line per state: ``id | members | on0→id | on1→id``."""
-        lines = []
-        for i, state in enumerate(self.states):
-            if state in (ACCEPT, DEAD):
-                body = state
-            else:
-                pairs = ",".join(f"({k},{d})" for k, d in sorted(state))
-                body = "{" + pairs + "}"
-            on0, on1 = self.transitions[i]
-            lines.append(f"{i} | {body} | on0→{on0} | on1→{on1}")
-        return lines
 
-
-def build_automaton(word: WordLike, M: int, state_cap: int = 10 ** 6,
-                    first_gap: int | None = None) -> ProbAutomaton:
+def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> ProbAutomaton:
     """Worklist subset construction from the initial frontier {(0, 0)}.
 
     first_gap, if given, caps the first embedding position at that value
@@ -124,10 +110,10 @@ def build_automaton(word: WordLike, M: int, state_cap: int = 10 ** 6,
             j = index.get(nxt)
             if j is None:
                 j = len(states)
-                if j >= state_cap:
+                if j >= _STATE_CAP:
                     raise StateCapExceeded(
                         f"automaton for word of length {n}, M={M} exceeded "
-                        f"{state_cap} states")
+                        f"{_STATE_CAP} states")
                 index[nxt] = j
                 states.append(nxt)
                 transitions.append(None)
@@ -138,28 +124,23 @@ def build_automaton(word: WordLike, M: int, state_cap: int = 10 ** 6,
 
 
 def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
-                           state_cap: int = 10 ** 6,
                            first_gap: int | None = None) -> Fraction:
     """P(word is M-seen) for iid letters with P(letter = 1) = p, exactly."""
-    w = as_word(word)
-    automaton = build_automaton(w, M, state_cap=state_cap, first_gap=first_gap)
-    return automaton.seen_probability(p)
+    return build_automaton(word, M, first_gap=first_gap).seen_probability(p)
 
 
-def exhaustive_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
-                                max_bits: int = 20) -> Fraction:
+def exhaustive_seen_probability(word: WordLike, M: int,
+                                p: Rational = Fraction(1, 2)) -> Fraction:
     """Oracle: weigh the seen indicator of each of the 2^(n*M) prefixes,
     one seen_packed scan each, by p^ones (1-p)^zeros.  Hits are tallied by
     their number of ones; it shares no code with the automaton it
     cross-checks."""
     w = as_word(word)
     _check_window(M)
-    prob = _check_prob(as_rational(p))
+    prob = _check_prob(Fraction(p))
     a, b = prob.numerator, prob.denominator
     L = w.n * M
-    if L > max_bits:
-        raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
-                         f"{max_bits}-bit budget")
+    _check_prefix_bits(L)
     hits = [0] * (L + 1)
     for y in range(1 << L):
         if seen_packed(w.letters, y, L, M):
@@ -168,17 +149,17 @@ def exhaustive_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1
     return Fraction(total, b ** L)
 
 
-def word_probability_sweep(n: int, M: int, p: Rational = Fraction(1, 2),
-                           state_cap: int = 10 ** 6) -> Iterator[tuple[BinaryWord, Fraction]]:
+def word_probability_sweep(n: int, M: int,
+                           p: Rational = Fraction(1, 2)) -> Iterator[tuple[BinaryWord, Fraction]]:
     """(word, exact seen probability) for every word of length n, lex order."""
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     if n > 20:
         raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
-    prob = as_rational(p)
+    prob = Fraction(p)
     for letters in product((0, 1), repeat=n):
         w = BinaryWord(letters)
-        yield w, exact_seen_probability(w, M, prob, state_cap=state_cap)
+        yield w, exact_seen_probability(w, M, prob)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,13 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import WordLike, as_word, count_embeddings_packed, _check_window
+from .core import (WordLike, as_word, count_embeddings_packed, _check_prefix_bits,
+                   _check_window)
+
+# Walk pairs M^(2n) the pair enumerations may visit.
+_PAIR_BUDGET = 4 * 10 ** 6
+# Series terms, and ratio steps, growth_constant may take before giving up.
+_MAX_TERMS = 200_000
 
 
 def expected_embeddings(M: int, n: int) -> Fraction:
@@ -67,14 +73,12 @@ def second_moment_exact(word: WordLike, M: int) -> Fraction:
 def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
     """Oracle: E(N_n^2) as a direct sum over all M^(2n) pairs of admissible
     position sequences, the walk-side cross-check of second_moment_exact.
-    Each pair weighs (1/2)^(2n - shared) when every coincident index pair
+    Each pair weighs 2^shared / 4^n when every coincident index pair
     carries equal letters, else 0."""
     w = as_word(word)
     _check_window(M)
     n = w.n
-    if n == 0:
-        return Fraction(1)
-    if M ** (2 * n) > 4 * 10 ** 6:
+    if M ** (2 * n) > _PAIR_BUDGET:
         raise ValueError(f"pair enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
     walks = []
     for gaps in product(range(1, M + 1), repeat=n):
@@ -83,10 +87,10 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
             acc += g
             pos.append(acc)
         walks.append(tuple(pos))
-    total = Fraction(0)
+    index_at = [{m: s for s, m in enumerate(pos)} for pos in walks]
+    total = 0
     for j_pos in walks:
-        for k_pos in walks:
-            k_set = {m: s for s, m in enumerate(k_pos)}
+        for k_set in index_at:
             shared = 0
             ok = True
             for r, m in enumerate(j_pos):
@@ -98,12 +102,11 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
                     break
                 shared += 1
             if ok:
-                total += Fraction(1, 2 ** (2 * n - shared))
-    return total
+                total += 1 << shared
+    return Fraction(total, 4 ** n)
 
 
-def embedding_count_moments(word: WordLike, M: int,
-                            max_bits: int = 20) -> tuple[Fraction, Fraction]:
+def embedding_count_moments(word: WordLike, M: int) -> tuple[Fraction, Fraction]:
     """Oracle: (E N_n, E N_n^2) averaged over all 2^(n*M) equally likely
     prefixes in one count_embeddings_packed scan each.  The thm4 sweep
     holds the first against (M/2)^n and the second against
@@ -111,9 +114,7 @@ def embedding_count_moments(word: WordLike, M: int,
     w = as_word(word)
     _check_window(M)
     L = w.n * M
-    if L > max_bits:
-        raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
-                         f"{max_bits}-bit budget")
+    _check_prefix_bits(L)
     total = square = 0
     for y in range(1 << L):
         count = count_embeddings_packed(w.letters, y, L, M)
@@ -122,9 +123,9 @@ def embedding_count_moments(word: WordLike, M: int,
     return Fraction(total, 1 << L), Fraction(square, 1 << L)
 
 
-def second_moment_oracle(word: WordLike, M: int, max_bits: int = 20) -> Fraction:
+def second_moment_oracle(word: WordLike, M: int) -> Fraction:
     """Oracle: E(N_n^2) over all 2^(n*M) prefixes, cross-checking second_moment_exact."""
-    return embedding_count_moments(word, M, max_bits)[1]
+    return embedding_count_moments(word, M)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def visits_moment_bruteforce(M: int, n: int) -> Fraction:
     _check_window(M)
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
-    if M ** (2 * n) > 4 * 10 ** 6:
+    if M ** (2 * n) > _PAIR_BUDGET:
         raise ValueError(f"enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
     total = 0
     for a_steps in product(range(1, M + 1), repeat=n):
@@ -252,7 +253,7 @@ class GrowthConstant:
     tol: float
 
 
-def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> GrowthConstant:
+def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     """Locate c_M two independent ways and package both values.
 
     Bisection brackets U(x) = 2 rigorously: the partial sum is a certain
@@ -292,10 +293,10 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
                 return 1
             if partial + tail < 2.0:
                 return -1
-            if 2 * len(u) > max_terms:
+            if 2 * len(u) > _MAX_TERMS:
                 raise RuntimeError(
                     f"series for U(x) at x={x} did not settle within "
-                    f"{max_terms} terms")
+                    f"{_MAX_TERMS} terms")
             extend(2 * len(u) + 1)
 
     lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2; U(x) -> infinity as x -> 1
@@ -317,8 +318,8 @@ def growth_constant(M: int, tol: float = 1e-9, max_terms: int = 200_000) -> Grow
     n = 0
     while by_ratio is None:
         n += 1
-        if n > max_terms:
-            raise RuntimeError(f"ratio iteration did not settle within {max_terms} steps")
+        if n > _MAX_TERMS:
+            raise RuntimeError(f"ratio iteration did not settle within {_MAX_TERMS} steps")
         extend(n + 1)
         r.append(float(_left_sum(np.array(u[1:n + 1]) * r[n - 1::-1])))
         V.append(V[-1] + r[-1])

@@ -9,8 +9,7 @@ them 64 to a uint64 lane with seen_packed's doubling shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -31,6 +30,9 @@ from .core import (
 # whatever `trials` is; Generator.random fills rows in order, so the stream
 # and every estimate are the same as for one draw of all rows.
 _CHUNK_CELLS = 1 << 22
+
+# Stages plan_parameter_path may plan before giving up.
+_MAX_STAGES = 64
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,12 @@ def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
 
 
 def _chunk_rows(trials: int, width: int) -> Iterator[int]:
-    """Row counts of successive batches of at most _CHUNK_CELLS letters."""
-    step = max(1, _CHUNK_CELLS // width)
+    """Row counts of successive batches of at most _CHUNK_CELLS letters.
+    A row wider than that is refused before any draw."""
+    if width > _CHUNK_CELLS:
+        raise ValueError(f"one trial draws {width} letters, over the budget "
+                         f"of {_CHUNK_CELLS}")
+    step = _CHUNK_CELLS // width
     for start in range(0, trials, step):
         yield min(step, trials - start)
 
@@ -182,37 +188,9 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
 # red grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RedGrid:
-    """Match grid: red[i, j] iff X_i = Y_j (row 0 / column 0 hold only the
-    red origin).  Treat the array as read-only."""
-
-    red: np.ndarray = field(repr=False)
-
-    @property
-    def rows(self) -> int:
-        return self.red.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.red.shape[1]
-
-    def to_pbm(self) -> str:
-        lines = ["P1", f"{self.cols} {self.rows}"]
-        for row in self.red:
-            lines.append(" ".join("1" if cell else "0" for cell in row))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["i,j,red"]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                lines.append(f"{i},{j},{int(self.red[i, j])}")
-        return "\n".join(lines) + "\n"
-
-
-def red_grid(x: WordLike, y: Union[SequencePrefix, str, Sequence[int]]) -> RedGrid:
-    """Color (i, j) red when word letter i matches sequence letter j."""
+def red_grid(x: WordLike, y: Union[SequencePrefix, str, Sequence[int]]) -> np.ndarray:
+    """Match grid of shape (n + 1, L + 1): red[i, j] iff X_i = Y_j, with row
+    0 and column 0 holding only the red origin."""
     w = as_word(x)
     seq = as_prefix(y)
     n, L = w.n, len(seq)
@@ -222,24 +200,23 @@ def red_grid(x: WordLike, y: Union[SequencePrefix, str, Sequence[int]]) -> RedGr
         wv = np.array(w.letters, dtype=np.uint8)[:, None]
         yv = np.array(seq.bits, dtype=np.uint8)[None, :]
         red[1:, 1:] = wv == yv
-    return RedGrid(red)
+    return red
 
 
-def admissible_path_exists(grid: RedGrid, M: int) -> bool:
+def admissible_path_exists(red: np.ndarray, M: int) -> bool:
     """Oracle: is there a red path (0,0), (1,m_1), ..., (n,m_n) with column
     gaps in [1, M]?  Equivalent to the word being M-seen in the sequence
     when the grid is wide enough to decide it; a numpy row scan kept apart
     from seen_packed so the two can be checked against each other."""
     _check_window(M)
-    n = grid.rows - 1
-    L = grid.cols - 1
+    n, L = red.shape[0] - 1, red.shape[1] - 1
     reach = np.zeros(L + 1, dtype=bool)
     reach[0] = True
     for i in range(1, n + 1):
         spread = np.zeros(L + 1, dtype=bool)
         for g in range(1, M + 1):
             spread[g:] |= reach[:-g or None]
-        reach = spread & grid.red[i]
+        reach = spread & red[i]
         if not reach.any():
             return False
     return bool(reach.any())
@@ -306,8 +283,7 @@ def coupling_witness(x: Union[SequencePrefix, str, Sequence[int]],
     return tuple(positions)
 
 
-def plan_parameter_path(p: float, p_target: float,
-                        max_stages: int = 64) -> list[CouplingStage]:
+def plan_parameter_path(p: float, p_target: float) -> list[CouplingStage]:
     """Greedy stage plan from density p to p_target.
 
     Each stage reaches [p^2, 1 - (1-p)^2]; while the target lies outside,
@@ -318,7 +294,7 @@ def plan_parameter_path(p: float, p_target: float,
     _check_p(p_target, "p_target")
     stages: list[CouplingStage] = []
     cur = p
-    for _ in range(max_stages):
+    for _ in range(_MAX_STAGES):
         if math.isclose(cur, p_target, rel_tol=0, abs_tol=1e-15):
             return stages
         lo, hi = cur ** 2, 1 - (1 - cur) ** 2
@@ -331,7 +307,7 @@ def plan_parameter_path(p: float, p_target: float,
         stages.append(CouplingStage(cur, p1, nxt))
         cur = nxt
     raise RuntimeError(f"no stage plan from {p} to {p_target} within "
-                       f"{max_stages} stages")
+                       f"{_MAX_STAGES} stages")
 
 
 @dataclass(frozen=True)

@@ -115,16 +115,16 @@ class CharPoly:
     root_small: float
     root_large: float
 
-    def eval(self, x: Fraction) -> Fraction:
-        return x * x + self.b * x + self.c
+
+# Width at which _bisect_root stops halving its bracket.
+_ROOT_TOL = 1e-12
 
 
-def _bisect_root(b: Fraction, c: Fraction, lo: Fraction, hi: Fraction,
-                 tol: float = 1e-12) -> float:
+def _bisect_root(b: Fraction, c: Fraction, lo: Fraction, hi: Fraction) -> float:
     f = lambda x: x * x + b * x + c
     flo = f(lo)
     assert flo != 0 and f(hi) != 0 and (flo > 0) != (f(hi) > 0)
-    while float(hi - lo) > tol:
+    while float(hi - lo) > _ROOT_TOL:
         mid = (lo + hi) / 2
         if (f(mid) > 0) == (flo > 0):
             lo = mid
@@ -176,33 +176,29 @@ def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
 
     Walks T_1..T_{p+j} with iid geometric(1/2) spacings; the first p steps
     are conditioned on spacing <= M by dropping violating mass, later steps
-    keep an overflow bucket for T > p*M.  Independent of the closed form.
+    keep an overflow bucket for T > p*M.  Spacing paths are counted in
+    integers: a path to T = t weighs 2^-t, and one that overflows weighs
+    2^-(p*M) in total.  Independent of the closed form.
     """
     AlphaBeta.for_window(M).require_two_plus()
     if p < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({p}, {j})")
     horizon = p * M
-    half = Fraction(1, 2)
-    dist = {0: Fraction(1)}
-    overflow = Fraction(0)
+    paths = {0: 1}  # T -> number of spacing paths that reach it
+    over = 0
     for step in range(1, p + j + 1):
-        nxt: dict[int, Fraction] = {}
-        if step <= p:
-            for t_val, mass in dist.items():
-                for tau in range(1, M + 1):
-                    new = t_val + tau
-                    # tau <= M keeps T within p*M here, no overflow possible
-                    nxt[new] = nxt.get(new, Fraction(0)) + mass * half ** tau
-        else:
-            for t_val, mass in dist.items():
-                for tau in range(1, horizon - t_val + 1):
-                    new = t_val + tau
-                    nxt[new] = nxt.get(new, Fraction(0)) + mass * half ** tau
-                overflow += mass * half ** (horizon - t_val)
-        dist = nxt
-    sigma = overflow
-    sigma_prime = sum(dist.values(), Fraction(0))
-    return sigma, sigma_prime
+        nxt: dict[int, int] = {}
+        for t, count in paths.items():
+            # tau <= M keeps T within p*M in the first p steps: no overflow
+            top = M if step <= p else horizon - t
+            for new in range(t + 1, t + top + 1):
+                nxt[new] = nxt.get(new, 0) + count
+            if step > p:
+                over += count
+        paths = nxt
+    scale = 1 << horizon
+    sigma_prime = sum(count << (horizon - t) for t, count in paths.items())
+    return Fraction(over, scale), Fraction(sigma_prime, scale)
 
 
 @dataclass(frozen=True)
@@ -380,7 +376,6 @@ class SuffixBoundRow:
     w_m2: Fraction      # ... starting at 2
     halving_exact: bool  # w_{m,1} = w_{m-1} / 2
     quarter_bound: bool  # w_{m,2} <= w_{m-1,2}/4 + w_{m-1}/4
-    quarter_strict: bool
     below_vm: bool      # w_m <= v_m
 
 
@@ -427,11 +422,8 @@ def verify_suffix_bounds_m2(word: BinaryWord | str) -> SuffixBoundReport:
         halving = w_m1[m] == w_m[m - 1] / 2
         if m == 1:
             quarter = w_m2[1] == Fraction(1, 4)
-            strict = False
         else:
-            bound = w_m2[m - 1] / 4 + w_m[m - 1] / 4
-            quarter = w_m2[m] <= bound
-            strict = w_m2[m] < bound
+            quarter = w_m2[m] <= w_m2[m - 1] / 4 + w_m[m - 1] / 4
         rows.append(SuffixBoundRow(m, w_m[m], w_m1[m], w_m2[m], halving,
-                                   quarter, strict, w_m[m] <= vtab.v[m]))
+                                   quarter, w_m[m] <= vtab.v[m]))
     return SuffixBoundReport(w, tuple(rows))

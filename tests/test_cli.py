@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wordseen import cli, sweeps
+from wordseen import cli, montecarlo, sweeps
 from wordseen.cli import main
 from wordseen.exactprob import StateCapExceeded
 from wordseen.moments import GrowthConstant
@@ -195,6 +195,21 @@ def test_state_cap_exits_two(monkeypatch, capsys):
     assert run_error("exact", "--word", "10" * 11, "--M", "12") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeded 1000000 states" in err
+
+
+def test_simulate_letter_budget(monkeypatch, capsys):
+    # one trial's n*M letters must fit in a chunk; a trial of 9 letters is
+    # refused against a budget of 8 before any draw, in both modes
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 8)
+    assert main(["simulate", "--word", "1111", "--M", "2", "--trials", "10"]) == 0
+    assert main(["simulate", "--M", "2", "--p-x", "1/2", "--p-y", "1/2",
+                 "--n", "4", "--trials", "10"]) == 0
+    capsys.readouterr()
+    assert run_error("simulate", "--word", "111", "--M", "3") == 2
+    assert run_error("simulate", "--M", "3", "--p-x", "1/2", "--p-y", "1/2",
+                     "--n", "3") == 2
+    err = capsys.readouterr().err
+    assert err.count("one trial draws 9 letters, over the budget of 8\n") == 2
 
 
 def test_json_round_trip(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from wordseen import exactprob
 from wordseen.core import BinaryWord
 from wordseen.exactprob import (
     ACCEPT,
@@ -15,6 +16,7 @@ from wordseen.exactprob import (
     max_word_probability,
     word_probability_sweep,
 )
+from wordseen.moments import second_moment_oracle
 from wordseen.recursions import vn_single_recursion
 
 
@@ -77,6 +79,13 @@ def test_engine_matches_biased_enumeration(wbits, M, p):
 def test_enumeration_budget():
     with pytest.raises(ValueError):
         exhaustive_seen_probability(BinaryWord.constant(1, 9), 3)  # 27 bits
+    # both exhaustive oracles refuse n*M = 21 through core's one check,
+    # before any of the 2^21 prefixes is scanned
+    for oracle in (exhaustive_seen_probability, second_moment_oracle):
+        with pytest.raises(ValueError) as err:
+            oracle(BinaryWord.constant(1, 7), 3)
+        assert str(err.value) == ("exhaustive sweep over 2^21 prefixes exceeds "
+                                  "the 20-bit budget")
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,21 +111,10 @@ def test_automaton_absorbing_states():
     assert auto.states[0] != ACCEPT and auto.states[0] != DEAD
 
 
-def test_automaton_dump_format():
-    lines = build_automaton("1", 1).dump_lines()
-    assert lines[0].startswith("0 | ")
-    for line in lines:
-        cells = line.split(" | ")
-        assert len(cells) == 4
-        assert cells[2].startswith("on0→")
-        assert cells[3].startswith("on1→")
-    # frontier states print their (letters-read, age) members
-    assert any("(" in line for line in lines)
-
-
-def test_state_cap():
-    with pytest.raises(StateCapExceeded):
-        build_automaton(BinaryWord.alternating(1, 8), 3, state_cap=5)
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(exactprob, "_STATE_CAP", 5)
+    with pytest.raises(StateCapExceeded, match="exceeded 5 states"):
+        build_automaton(BinaryWord.alternating(1, 8), 3)
 
 
 def test_first_gap_split():

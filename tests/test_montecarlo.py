@@ -126,15 +126,10 @@ def test_sample_sequence_density():
 # ---------------------------------------------------------------------------
 
 def test_red_grid_shape_and_exports():
-    grid = red_grid("11", "1100")
-    assert (grid.rows, grid.cols) == (3, 5)
-    assert grid.red[0, 0] and not grid.red[0, 1] and not grid.red[1, 0]
-    assert bool(grid.red[1, 1]) and not grid.red[1, 3]
-    pbm = grid.to_pbm()
-    assert pbm.startswith("P1\n5 3\n")
-    csv_text = grid.to_csv()
-    assert csv_text.splitlines()[0] == "i,j,red"
-    assert f"{0},{0},1" in csv_text
+    red = red_grid("11", "1100")
+    assert red.shape == (3, 5) and red.dtype == bool
+    assert red[0, 0] and not red[0, 1] and not red[1, 0]
+    assert red[1, 1] and not red[1, 3]
 
 
 @pytest.mark.parametrize("M", [2, 3])

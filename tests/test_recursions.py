@@ -70,7 +70,7 @@ def test_char_poly_roots():
     for M in (2, 3, 4, 5):
         cp = char_poly(M)
         beta = AlphaBeta.for_window(M).beta
-        assert cp.eval(Fraction(1)) == 2 * beta ** 2
+        assert 1 + cp.b + cp.c == 2 * beta ** 2
 
 
 def test_ratio_converges_to_larger_root():
