@@ -122,14 +122,31 @@ def _check_window(M: int) -> None:
         raise ValueError(f"window M must be >= 1, got {M}")
 
 
-# The exhaustive oracles scan all 2^L prefixes of L = n*M letters.
+# The exhaustive oracles scan all 2^L prefixes of L = n*M letters, at most
+# _BLOCK_ROWS of them at a time, so their memory stays bounded at the budget.
 _PREFIX_BITS = 20
+_BLOCK_ROWS = 1 << 16
 
 
-def _check_prefix_bits(L: int) -> None:
+def _prefix_rows(L: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Prefixes number start..stop-1 of the 2^L prefixes of length L (all of
+    them by default), as (rows, L) 0/1 uint8 rows: bit m-1 of the row
+    number is Y_m."""
+    idx = np.arange(start, 1 << L if stop is None else stop, dtype=np.uint32)
+    rows = np.empty((len(idx), L), dtype=np.uint8)
+    for m in range(L):
+        rows[:, m] = (idx >> m) & 1
+    return rows
+
+
+def _prefix_blocks(L: int) -> Iterator[np.ndarray]:
+    """All 2^L prefixes of length L in _prefix_rows order, in blocks of at
+    most _BLOCK_ROWS rows; refuses L over the _PREFIX_BITS budget."""
     if L > _PREFIX_BITS:
         raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
                          f"{_PREFIX_BITS}-bit budget")
+    for start in range(0, 1 << L, _BLOCK_ROWS):
+        yield _prefix_rows(L, start, min(start + _BLOCK_ROWS, 1 << L))
 
 
 @dataclass(frozen=True)
@@ -386,21 +403,31 @@ def s_sequence(T: np.ndarray, M: int) -> np.ndarray:
 # embedding counts for exhaustive sweeps
 # ---------------------------------------------------------------------------
 
+def count_embeddings(letters: Bits, ys: np.ndarray, M: int) -> np.ndarray:
+    """Number of admissible embeddings inside each 0/1 row of ys (R, L),
+    one int64 per row.
+
+    counts[:, m] holds the embeddings of the word's first k letters that
+    end at position m (column 0 is the origin).  The next letter sums the
+    M columns before each position, as differences of one cumsum, and keeps
+    the positions that show it.  An embedding is a set of positions, so a
+    count is at most 2^L and int64 is exact for L < 63.
+    """
+    R, L = ys.shape
+    counts = np.zeros((R, L + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    for letter in letters:
+        c = np.cumsum(counts, axis=1)
+        window = c[:, :L]
+        if M < L:
+            window[:, M:] -= c[:, :L - M]
+        counts[:, 0] = 0
+        np.multiply(window, ys == letter, out=counts[:, 1:])
+    return counts.sum(axis=1)
+
+
 def count_embeddings_packed(letters: Bits, y: int, L: int, M: int) -> int:
-    """Number of admissible embeddings inside a packed prefix."""
-    n = len(letters)
-    if n == 0:
-        return 1
-    counts = [1] + [0] * L
-    for k in range(n):
-        target = letters[k]
-        new = [0] * (L + 1)
-        window = 0
-        for m in range(1, L + 1):
-            window += counts[m - 1]
-            if m - M - 1 >= 0:
-                window -= counts[m - M - 1]
-            if (y >> (m - 1)) & 1 == target:
-                new[m] = window
-        counts = new
-    return sum(counts)
+    """Number of admissible embeddings inside a packed prefix (bit m-1 =
+    Y_m): one row of count_embeddings."""
+    row = np.array([[(y >> m) & 1 for m in range(L)]], dtype=np.uint8)
+    return int(count_embeddings(letters, row, M)[0])

@@ -14,8 +14,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .core import (BinaryWord, WordLike, _advance, _check_prefix_bits, _check_window,
-                   as_word, seen_packed)
+import numpy as np
+
+from .core import BinaryWord, WordLike, _advance, _check_window, _prefix_blocks, as_word
+from .montecarlo import batch_seen
 
 Rational = Union[Fraction, int, str]
 
@@ -131,21 +133,22 @@ def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
 
 def exhaustive_seen_probability(word: WordLike, M: int,
                                 p: Rational = Fraction(1, 2)) -> Fraction:
-    """Oracle: weigh the seen indicator of each of the 2^(n*M) prefixes,
-    one seen_packed scan each, by p^ones (1-p)^zeros.  Hits are tallied by
-    their number of ones; it shares no code with the automaton it
-    cross-checks."""
+    """Oracle: weigh the seen indicator of each of the 2^(n*M) prefixes by
+    p^ones (1-p)^zeros, deciding a block of prefixes at a time with the
+    lane-packed batch_seen.  Hits are tallied by their number of ones; it
+    shares no code with the automaton it cross-checks."""
     w = as_word(word)
     _check_window(M)
     prob = _check_prob(Fraction(p))
     a, b = prob.numerator, prob.denominator
     L = w.n * M
-    _check_prefix_bits(L)
-    hits = [0] * (L + 1)
-    for y in range(1 << L):
-        if seen_packed(w.letters, y, L, M):
-            hits[y.bit_count()] += 1
-    total = sum(h * a ** ones * (b - a) ** (L - ones) for ones, h in enumerate(hits))
+    letters = np.array(w.letters, dtype=np.uint8)
+    hits = np.zeros(L + 1, dtype=np.int64)
+    for ys in _prefix_blocks(L):
+        seen = batch_seen(np.tile(letters, (len(ys), 1)), ys, M)
+        hits += np.bincount(ys[seen].sum(axis=1, dtype=np.int64), minlength=L + 1)
+    total = sum(h * a ** ones * (b - a) ** (L - ones)
+                for ones, h in enumerate(hits.tolist()))
     return Fraction(total, b ** L)
 
 

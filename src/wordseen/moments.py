@@ -15,8 +15,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import (WordLike, as_word, count_embeddings_packed, _check_prefix_bits,
-                   _check_window)
+from .core import WordLike, _check_window, _prefix_blocks, as_word, count_embeddings
 
 # Walk pairs M^(2n) the pair enumerations may visit.
 _PAIR_BUDGET = 4 * 10 ** 6
@@ -108,18 +107,19 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
 
 def embedding_count_moments(word: WordLike, M: int) -> tuple[Fraction, Fraction]:
     """Oracle: (E N_n, E N_n^2) averaged over all 2^(n*M) equally likely
-    prefixes in one count_embeddings_packed scan each.  The thm4 sweep
-    holds the first against (M/2)^n and the second against
+    prefixes, counting a block of prefixes at a time with count_embeddings.
+    The thm4 sweep holds the first against (M/2)^n and the second against
     second_moment_exact."""
     w = as_word(word)
     _check_window(M)
     L = w.n * M
-    _check_prefix_bits(L)
     total = square = 0
-    for y in range(1 << L):
-        count = count_embeddings_packed(w.letters, y, L, M)
-        total += count
-        square += count * count
+    for ys in _prefix_blocks(L):
+        # N <= M^n <= 2^(nM) <= 2^20 under the prefix budget, so the int64
+        # sums stay below 2^60
+        count = count_embeddings(w.letters, ys, M)
+        total += int(count.sum())
+        square += int((count * count).sum())
     return Fraction(total, 1 << L), Fraction(square, 1 << L)
 
 

@@ -66,9 +66,15 @@ def _lanes(rows: np.ndarray) -> np.ndarray:
     """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
     r // 64.  The bits past row R are zero."""
     R, k = rows.shape
-    packed = np.zeros((k, -(-R // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-R // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    pad = -(-R // 64) * 64
+    if pad != R:
+        rows = np.concatenate([rows, np.zeros((pad - R, k), dtype=rows.dtype)])
+    # byte b of a lane row ORs rows 8b..8b+7, row 8b+j shifted to bit j
+    g = rows.reshape(pad // 8, 8, k)
+    acc = g[:, 0].copy()
+    for j in range(1, 8):
+        acc |= g[:, j] << j
+    return np.ascontiguousarray(acc.T).view(np.uint64)
 
 
 def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:

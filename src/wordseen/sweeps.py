@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     BinaryWord,
     SequencePrefix,
+    _prefix_rows,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     hitting_times,
@@ -158,11 +159,6 @@ def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
 # thm3: spacing characterizations vs the embedding engine, exhaustively
 # ---------------------------------------------------------------------------
 
-def _all_prefixes(L: int) -> np.ndarray:
-    rows = np.arange(1 << L, dtype=np.uint32)[:, None]
-    return ((rows >> np.arange(L, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
 def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray) -> None:
     if not (verdict == seen).all():
         res.fail(f"{what} disagrees at prefix #{int(np.argmax(verdict != seen))}")
@@ -175,7 +171,7 @@ def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
         ab = AlphaBeta.for_window(M)
         vs = vn_single_recursion(M, n_max)
         for n in range(1, n_max + 1):
-            ys = _all_prefixes(n * M)
+            ys = _prefix_rows(n * M)
             R = ys.shape[0]
             # tail guarantees every letter keeps being hit past the horizon
             ys_ext = np.concatenate([ys, np.tile(np.uint8([1, 0]), (R, n + 2))], axis=1)

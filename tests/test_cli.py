@@ -63,6 +63,13 @@ def test_exact_oracle_agrees(capsys):
     assert code3 == 0 and cells[3] == cells[5] and cells[6] == "True"
 
 
+def test_exact_oracle_single_prefix(capsys):
+    # n*M = 0: the one empty prefix sees the empty word
+    code, out = run(capsys, "exact", "--constant", "0", "--M", "1", "--oracle")
+    cells = out.strip().splitlines()[1].split(",")
+    assert code == 0 and cells[5] == "1" and cells[6] == "True"
+
+
 def test_exact_oracle_budget(capsys):
     # n*M = 24 > 20: refused before any of the 2^24 prefixes is scanned
     assert run_error("exact", "--word", "110101", "--M", "4", "--oracle") == 2

@@ -9,8 +9,10 @@ from wordseen.core import (
     Embedding,
     SequencePrefix,
     _advance,
+    _prefix_rows,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
+    count_embeddings,
     count_embeddings_packed,
     enumerate_embeddings,
     hitting_times,
@@ -154,15 +156,19 @@ def test_seen_monotone_in_window(wbits, data, M):
 @pytest.mark.parametrize("M", [2, 3])
 def test_packed_matches_scalar_exhaustively(M):
     for n in range(0, 4):
-        L = n * M
-        for letters in itertools.product((0, 1), repeat=n):
-            w = BinaryWord(letters)
-            for val in range(1 << L):
-                y = [(val >> i) & 1 for i in range(L)]
-                embeddings = list(enumerate_embeddings(w, y, M))
-                assert seen_packed(letters, val, L, M) == bool(embeddings)
-                assert count_embeddings_packed(letters, val, L, M) == len(
-                    embeddings)
+        # prefixes one letter short of the horizon, at it, and one past it
+        for L in range(max(n * M - 1, 0), n * M + 2):
+            for letters in itertools.product((0, 1), repeat=n):
+                w = BinaryWord(letters)
+                counts = count_embeddings(letters, _prefix_rows(L), M)
+                for val in range(1 << L):
+                    y = [(val >> i) & 1 for i in range(L)]
+                    embeddings = list(enumerate_embeddings(w, y, M))
+                    assert counts[val] == len(embeddings)
+                    if L == n * M:
+                        assert seen_packed(letters, val, L, M) == bool(embeddings)
+                        assert count_embeddings_packed(letters, val, L, M) == len(
+                            embeddings)
 
 
 def test_frontier_walkthrough():

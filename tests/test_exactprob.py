@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wordseen import exactprob
+from wordseen import core, exactprob
 from wordseen.core import BinaryWord
 from wordseen.exactprob import (
     ACCEPT,
@@ -16,7 +16,8 @@ from wordseen.exactprob import (
     max_word_probability,
     word_probability_sweep,
 )
-from wordseen.moments import second_moment_oracle
+from wordseen.moments import (embedding_count_moments, expected_embeddings,
+                              second_moment_exact, second_moment_oracle)
 from wordseen.recursions import vn_single_recursion
 
 
@@ -58,12 +59,14 @@ def test_probability_validation():
         exact_seen_probability("11", 0)
 
 
-@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("M", [2, 3, 4])
 def test_engine_matches_enumeration(M):
-    for n in range(1, 4):
+    # every word with n*M <= 12, at p = 1/2 and two biased p
+    for n in range(12 // M + 1):
         for letters in itertools.product((0, 1), repeat=n):
             w = BinaryWord(letters)
-            assert exact_seen_probability(w, M) == exhaustive_seen_probability(w, M)
+            for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 5)):
+                assert exact_seen_probability(w, M, p) == exhaustive_seen_probability(w, M, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,6 +77,23 @@ def test_engine_matches_biased_enumeration(wbits, M, p):
     assume(len(wbits) * M <= 16)
     w = BinaryWord(tuple(wbits))
     assert exact_seen_probability(w, M, p) == exhaustive_seen_probability(w, M, p)
+
+
+@pytest.mark.parametrize("rows", [8, 6])
+def test_oracle_blocks_match_one_block(monkeypatch, rows):
+    """Oracles scanning their prefixes in blocks of a few rows, the last one
+    partial when rows = 6, give the values of one block of all prefixes."""
+    cases = [("1011", 2), ("10110", 2), ("101100", 2), ("110", 3), ("1101", 3),
+             ("10", 4), ("011", 4)]
+    whole = [(exhaustive_seen_probability(w, M, Fraction(1, 3)),
+              embedding_count_moments(w, M)) for w, M in cases]
+    monkeypatch.setattr(core, "_BLOCK_ROWS", rows)
+    for (w, M), (seen, moments) in zip(cases, whole):
+        assert 8 <= len(w) * M <= 12
+        assert exhaustive_seen_probability(w, M, Fraction(1, 3)) == seen
+        assert seen == exact_seen_probability(w, M, Fraction(1, 3))
+        assert embedding_count_moments(w, M) == moments
+        assert moments == (expected_embeddings(M, len(w)), second_moment_exact(w, M))
 
 
 def test_enumeration_budget():

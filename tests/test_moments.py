@@ -8,6 +8,7 @@ import pytest
 from wordseen.core import BinaryWord
 from wordseen.moments import (
     _walk_rows,
+    embedding_count_moments,
     expected_embeddings,
     growth_constant,
     random_word_second_moment,
@@ -30,6 +31,15 @@ def test_single_letter_second_moment():
     # N counts ones among the first two letters: E(N^2) = 1/2 + 4/4
     assert second_moment_exact(BinaryWord.from_string("1"), 2) == Fraction(3, 2)
     assert second_moment_oracle(BinaryWord.from_string("1"), 2) == Fraction(3, 2)
+
+
+def test_count_oracle_edges():
+    # the empty word embeds once in the one empty prefix
+    assert embedding_count_moments("", 3) == (1, 1)
+    # n*M = 18: four full blocks of prefixes, sums far inside int64
+    w = BinaryWord.from_string("101101")
+    assert embedding_count_moments(w, 3) == (expected_embeddings(3, 6),
+                                             second_moment_exact(w, 3))
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])
