@@ -5,6 +5,10 @@ there are positions m_1 < ... < m_n with Y_{m_i} = w_i and every gap
 m_i - m_{i-1} between 1 and M, with m_0 = 0 by convention.  The event is
 decided by the first n*M letters of the sequence, so everything here is
 exact and finite.
+
+The decision has one scalar kernel (seen_packed) and one batched kernel
+(batch_seen, 64 rows to a uint64 lane); the exhaustive scans take their
+prefixes from _prefix_blocks, under one bit budget.
 """
 
 from __future__ import annotations
@@ -122,31 +126,28 @@ def _check_window(M: int) -> None:
         raise ValueError(f"window M must be >= 1, got {M}")
 
 
-# The exhaustive oracles scan all 2^L prefixes of L = n*M letters, at most
-# _BLOCK_ROWS of them at a time, so their memory stays bounded at the budget.
+# The exhaustive scans (both oracles, the thm3 sweep) read all 2^L prefixes of
+# L = n*M letters, _BLOCK_ROWS at a time, so memory stays bounded at the budget.
 _PREFIX_BITS = 20
 _BLOCK_ROWS = 1 << 16
 
 
-def _prefix_rows(L: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Prefixes number start..stop-1 of the 2^L prefixes of length L (all of
-    them by default), as (rows, L) 0/1 uint8 rows: bit m-1 of the row
-    number is Y_m."""
-    idx = np.arange(start, 1 << L if stop is None else stop, dtype=np.uint32)
-    rows = np.empty((len(idx), L), dtype=np.uint8)
-    for m in range(L):
-        rows[:, m] = (idx >> m) & 1
-    return rows
-
-
 def _prefix_blocks(L: int) -> Iterator[np.ndarray]:
-    """All 2^L prefixes of length L in _prefix_rows order, in blocks of at
-    most _BLOCK_ROWS rows; refuses L over the _PREFIX_BITS budget."""
+    """All 2^L prefixes of length L as (rows, L) 0/1 uint8 rows, in blocks of
+    at most _BLOCK_ROWS rows: bit m-1 of a row's number is Y_m.  An L over
+    the _PREFIX_BITS budget is refused when called, before any block."""
     if L > _PREFIX_BITS:
         raise ValueError(f"exhaustive sweep over 2^{L} prefixes exceeds the "
                          f"{_PREFIX_BITS}-bit budget")
-    for start in range(0, 1 << L, _BLOCK_ROWS):
-        yield _prefix_rows(L, start, min(start + _BLOCK_ROWS, 1 << L))
+
+    def block(start: int) -> np.ndarray:
+        idx = np.arange(start, min(start + _BLOCK_ROWS, 1 << L), dtype=np.uint32)
+        rows = np.empty((len(idx), L), dtype=np.uint8)
+        for m in range(L):
+            rows[:, m] = (idx >> m) & 1
+        return rows
+
+    return map(block, range(0, 1 << L, _BLOCK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,48 @@ def seen_packed(letters: Bits, y: int, L: int, M: int) -> bool:
         if not reach:
             return False
     return True
+
+
+def _lanes(rows: np.ndarray) -> np.ndarray:
+    """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
+    r // 64.  The bits past row R are zero."""
+    R, k = rows.shape
+    if R % 64:
+        rows = np.concatenate([rows, np.zeros((-R % 64, k), dtype=rows.dtype)])
+    # byte b of a lane row ORs rows 8b..8b+7, row 8b+j shifted to bit j
+    g = rows.reshape(len(rows) // 8, 8, k)
+    acc = g[:, 0].copy()
+    for j in range(1, 8):
+        acc |= g[:, j] << j
+    return np.ascontiguousarray(acc.T).view(np.uint64)
+
+
+def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
+    """Reachability over rows: words against ys (R, L), one bool per row.
+
+    words is (R, n), one word per row, or (1, n), one word for every row.
+    The bitset kernel of seen_packed turned on its side: bit r % 64 of
+    reach[m, r // 64] says row r's word prefix can end at position m, so
+    each letter costs O(log M) doubling shifts of whole (L + 1, R/64) arrays.
+    Padding bits past row R are cut off at the end.
+    """
+    R, L = ys.shape
+    Y = _lanes(ys)
+    # a single word row turns each letter into an all-0 or an all-1 lane
+    W = (np.where(words[0] == 1, ~np.uint64(0), np.uint64(0)) if len(words) == 1
+         else _lanes(words))
+    reach = np.zeros((L + 1, Y.shape[1]), dtype=np.uint64)
+    reach[0] = ~np.uint64(0)
+    steps = _smear_steps(M)
+    for letter in W:
+        for s in steps:
+            reach[s:] |= reach[:-s]
+        reach[1:] = reach[:-1] & ~(Y ^ letter)
+        reach[0] = 0
+        if not reach.any():
+            break
+    seen = np.bitwise_or.reduce(reach, axis=0)
+    return np.unpackbits(seen.view(np.uint8), bitorder="little")[:R].astype(bool)
 
 
 def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:

@@ -16,8 +16,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .core import BinaryWord, WordLike, _advance, _check_window, _prefix_blocks, as_word
-from .montecarlo import batch_seen
+from .core import (BinaryWord, WordLike, _advance, _check_window, _prefix_blocks,
+                   as_word, batch_seen)
 
 Rational = Union[Fraction, int, str]
 
@@ -142,10 +142,9 @@ def exhaustive_seen_probability(word: WordLike, M: int,
     prob = _check_prob(Fraction(p))
     a, b = prob.numerator, prob.denominator
     L = w.n * M
-    letters = np.array(w.letters, dtype=np.uint8)
     hits = np.zeros(L + 1, dtype=np.int64)
     for ys in _prefix_blocks(L):
-        seen = batch_seen(np.tile(letters, (len(ys), 1)), ys, M)
+        seen = batch_seen(np.uint8([w.letters]), ys, M)
         hits += np.bincount(ys[seen].sum(axis=1, dtype=np.int64), minlength=L + 1)
     total = sum(h * a ** ones * (b - a) ** (L - ones)
                 for ones, h in enumerate(hits.tolist()))

@@ -3,14 +3,14 @@
 All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
-them 64 to a uint64 lane with seen_packed's doubling shifts.
+them with core's lane-packed batch_seen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .core import (
     SequencePrefix,
     WordLike,
     _check_window,
-    _smear_steps,
     as_prefix,
     as_word,
+    batch_seen,
     seen_within,
 )
 
@@ -62,55 +62,23 @@ def sample_sequence(p: float, length: int, gen: np.random.Generator) -> Sequence
     return SequencePrefix(bits.tolist())
 
 
-def _lanes(rows: np.ndarray) -> np.ndarray:
-    """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
-    r // 64.  The bits past row R are zero."""
-    R, k = rows.shape
-    pad = -(-R // 64) * 64
-    if pad != R:
-        rows = np.concatenate([rows, np.zeros((pad - R, k), dtype=rows.dtype)])
-    # byte b of a lane row ORs rows 8b..8b+7, row 8b+j shifted to bit j
-    g = rows.reshape(pad // 8, 8, k)
-    acc = g[:, 0].copy()
-    for j in range(1, 8):
-        acc |= g[:, j] << j
-    return np.ascontiguousarray(acc.T).view(np.uint64)
-
-
-def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
-    """Reachability over rows: words (R, n) against ys (R, L), one bool per row.
-
-    The bitset kernel of seen_packed turned on its side: bit r % 64 of
-    reach[m, r // 64] says trial r's word prefix can end at position m, so
-    each letter costs O(log M) doubling shifts of whole (L + 1, R/64) arrays.
-    Padding bits past row R see every letter and are cut off at the end.
-    """
-    R, L = ys.shape
-    Y = _lanes(ys)
-    W = _lanes(words)
-    reach = np.zeros((L + 1, Y.shape[1]), dtype=np.uint64)
-    reach[0] = ~np.uint64(0)
-    steps = _smear_steps(M)
-    for letter in W:
-        for s in steps:
-            reach[s:] |= reach[:-s]
-        reach[1:] = reach[:-1] & ~(Y ^ letter)
-        reach[0] = 0
-        if not reach.any():
-            break
-    seen = np.bitwise_or.reduce(reach, axis=0)
-    return np.unpackbits(seen.view(np.uint8), bitorder="little")[:R].astype(bool)
-
-
-def _chunk_rows(trials: int, width: int) -> Iterator[int]:
-    """Row counts of successive batches of at most _CHUNK_CELLS letters.
-    A row wider than that is refused before any draw."""
+def _estimate_hits(trials: int, M: int, width: int, draw: Callable) -> tuple[float, float]:
+    """Seen rate and its binomial standard error over `trials` trials of
+    `width` sequence letters; draw(rows) gives the next rows' (words, ys) in
+    chunks of at most _CHUNK_CELLS letters, refusing a wider trial first."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if width == 0:  # the empty word is seen in every trial; nothing is drawn
+        return 1.0, 0.0
     if width > _CHUNK_CELLS:
         raise ValueError(f"one trial draws {width} letters, over the budget "
                          f"of {_CHUNK_CELLS}")
     step = _CHUNK_CELLS // width
+    hits = 0
     for start in range(0, trials, step):
-        yield min(step, trials - start)
+        hits += int(batch_seen(*draw(min(step, trials - start)), M).sum())
+    est = hits / trials
+    return est, math.sqrt(est * (1 - est) / trials)
 
 
 @dataclass(frozen=True)
@@ -133,20 +101,12 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
     w = as_word(word)
     _check_window(M)
     _check_p(p)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     gen = rng.stream(0)
-    if w.n == 0:
-        hits = trials
-    else:
-        L = w.n * M
-        letters = np.array(w.letters, dtype=np.uint8)
-        hits = 0
-        for rows in _chunk_rows(trials, L):
-            ys = (gen.random((rows, L)) < p).astype(np.uint8)
-            hits += int(batch_seen(np.tile(letters, (rows, 1)), ys, M).sum())
-    est = hits / trials
-    stderr = math.sqrt(est * (1 - est) / trials)
+
+    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.uint8([w.letters]), (gen.random((rows, w.n * M)) < p).astype(np.uint8)
+
+    est, stderr = _estimate_hits(trials, M, w.n * M, draw)
     return SeenEstimate(str(w), M, float(p), trials, est, stderr, rng.seed)
 
 
@@ -173,20 +133,14 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
     _check_p(p_y, "p_y")
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     gen_x = rng.stream(1)
     gen_y = rng.stream(2)
-    if n == 0:
-        hits = trials
-    else:
-        hits = 0
-        for rows in _chunk_rows(trials, n * M):
-            words = (gen_x.random((rows, n)) < p_x).astype(np.uint8)
-            ys = (gen_y.random((rows, n * M)) < p_y).astype(np.uint8)
-            hits += int(batch_seen(words, ys, M).sum())
-    est = hits / trials
-    stderr = math.sqrt(est * (1 - est) / trials)
+
+    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        return ((gen_x.random((rows, n)) < p_x).astype(np.uint8),
+                (gen_y.random((rows, n * M)) < p_y).astype(np.uint8))
+
+    est, stderr = _estimate_hits(trials, M, n * M, draw)
     return CrossEstimate(M, float(p_x), float(p_y), n, trials, est, stderr, rng.seed)
 
 
@@ -278,15 +232,14 @@ def coupling_witness(x: Union[SequencePrefix, str, Sequence[int]],
     if len(xs) != 2 * len(os):
         raise ValueError(f"length mismatch: {len(xs)} input letters for "
                          f"{len(os)} output letters")
-    positions = []
-    for k, letter in enumerate(os.bits, start=1):
-        if xs.bits[2 * k - 2] == letter:
-            positions.append(2 * k - 1)
-        elif xs.bits[2 * k - 1] == letter:
-            positions.append(2 * k)
-        else:
-            raise ValueError(f"output letter {k} matches neither source letter")
-    return tuple(positions)
+    letters = np.frombuffer(bytes(os.bits), dtype=np.uint8)
+    blocks = np.frombuffer(bytes(xs.bits), dtype=np.uint8).reshape(-1, 2)
+    first = blocks[:, 0] == letters
+    neither = ~first & (blocks[:, 1] != letters)
+    if neither.any():
+        raise ValueError(f"output letter {int(neither.argmax()) + 1} matches "
+                         f"neither source letter")
+    return tuple((2 * np.arange(1, len(letters) + 1) - first).tolist())
 
 
 def plan_parameter_path(p: float, p_target: float) -> list[CouplingStage]:

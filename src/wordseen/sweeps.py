@@ -14,8 +14,9 @@ import numpy as np
 from .core import (
     BinaryWord,
     SequencePrefix,
-    _prefix_rows,
+    _prefix_blocks,
     alternating_seen_by_spacings,
+    batch_seen,
     constant_seen_by_spacings,
     hitting_times,
     is_m_seen,
@@ -34,7 +35,6 @@ from .moments import (
 from .montecarlo import (
     RngConfig,
     admissible_path_exists,
-    batch_seen,
     coupling_F,
     coupling_chain_demo,
     coupling_witness,
@@ -159,45 +159,52 @@ def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
 # thm3: spacing characterizations vs the embedding engine, exhaustively
 # ---------------------------------------------------------------------------
 
-def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray) -> None:
+def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray,
+           ys: np.ndarray) -> None:
     if not (verdict == seen).all():
-        res.fail(f"{what} disagrees at prefix #{int(np.argmax(verdict != seen))}")
+        row = ys[int(np.argmax(verdict != seen))]
+        res.fail(f"{what} disagrees at prefix {''.join(map(str, row.tolist()))}")
 
 
 def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
     """Every spacing criterion of core against batch_seen, on every prefix."""
     res = SweepResult(f"spacing characterizations M in (2, 3), n <= {n_max}")
+    # planned up front, so an n_max over the prefix budget fails before any scan
+    blocks = {(M, n): _prefix_blocks(n * M) for M in (2, 3) for n in range(1, n_max + 1)}
     for M in (2, 3):
         ab = AlphaBeta.for_window(M)
         vs = vn_single_recursion(M, n_max)
         for n in range(1, n_max + 1):
-            ys = _prefix_rows(n * M)
-            R = ys.shape[0]
-            # tail guarantees every letter keeps being hit past the horizon
-            ys_ext = np.concatenate([ys, np.tile(np.uint8([1, 0]), (R, n + 2))], axis=1)
-            for first in (1, 0):
-                const = BinaryWord.constant(first, n)
-                seen = batch_seen(np.tile(np.uint8(const.letters), (R, 1)), ys, M)
-                T = hitting_times(const, ys_ext)
-                _agree(res, f"M={M}, n={n}, constant({first}): spacing test",
-                       constant_seen_by_spacings(T, M), seen)
-                if first == 1 and Fraction(int(seen.sum()), R) != ab.alpha ** n:
-                    res.fail(f"M={M}, n={n}: constant count != alpha^n")
+            hits = np.zeros((2, 2), dtype=np.int64)  # [first letter, constant/alternating]
+            for ys in blocks[M, n]:
+                # tail guarantees every letter keeps being hit past the horizon
+                tail = np.broadcast_to(np.uint8([1, 0] * (n + 2)), (len(ys), 2 * n + 4))
+                ys_ext = np.concatenate([ys, tail], axis=1)
+                for first in (1, 0):
+                    const = BinaryWord.constant(first, n)
+                    seen = batch_seen(np.uint8([const.letters]), ys, M)
+                    hits[first, 0] += seen.sum()
+                    T = hitting_times(const, ys_ext)
+                    _agree(res, f"M={M}, n={n}, constant({first}): spacing test",
+                           constant_seen_by_spacings(T, M), seen, ys)
 
-                alt = BinaryWord.alternating(first, n)
-                seen = batch_seen(np.tile(np.uint8(alt.letters), (R, 1)), ys, M)
-                # n + 1 hitting times: the deadlines look one letter ahead
-                T = hitting_times(BinaryWord.alternating(first, n + 1), ys_ext)
-                tag = f"M={M}, n={n}, alternating({first})"
-                _agree(res, f"{tag}: window criterion",
-                       alternating_seen_by_spacings(T[:, :n], M), seen)
-                _agree(res, f"{tag}: deadline criterion",
-                       (T[:, :n] <= s_sequence(T, M)[:, 1:]).all(axis=1), seen)
-                # small spacings see every word
-                if (constant_seen_by_spacings(T[:, :n], M) & ~seen).any():
-                    res.fail(f"{tag}: small spacings yet unseen")
-                if first == 1 and Fraction(int(seen.sum()), R) != vs[n]:
-                    res.fail(f"M={M}, n={n}: alternating count != v_n")
+                    alt = BinaryWord.alternating(first, n)
+                    seen = batch_seen(np.uint8([alt.letters]), ys, M)
+                    hits[first, 1] += seen.sum()
+                    # n + 1 hitting times: the deadlines look one letter ahead
+                    T = hitting_times(BinaryWord.alternating(first, n + 1), ys_ext)
+                    tag = f"M={M}, n={n}, alternating({first})"
+                    _agree(res, f"{tag}: window criterion",
+                           alternating_seen_by_spacings(T[:, :n], M), seen, ys)
+                    _agree(res, f"{tag}: deadline criterion",
+                           (T[:, :n] <= s_sequence(T, M)[:, 1:]).all(axis=1), seen, ys)
+                    # small spacings see every word
+                    if (constant_seen_by_spacings(T[:, :n], M) & ~seen).any():
+                        res.fail(f"{tag}: small spacings yet unseen")
+            if Fraction(int(hits[1, 0]), 1 << n * M) != ab.alpha ** n:
+                res.fail(f"M={M}, n={n}: constant count != alpha^n")
+            if Fraction(int(hits[1, 1]), 1 << n * M) != vs[n]:
+                res.fail(f"M={M}, n={n}: alternating count != v_n")
         res.note(f"M={M}: all spacing forms match the engine up to n={n_max}")
     return res
 
@@ -478,9 +485,6 @@ def _thm3_combined(n_max: int | None = None) -> SweepResult:
         first = sweep_spacing_equivalences()
         merged = SweepResult("spacing characterizations + worked example")
     else:
-        if n_max > 7:
-            raise ValueError("thm3 enumerates all 2^(n*M) prefixes; --n tops "
-                             "out at 7")
         first = sweep_spacing_equivalences(n_max=n_max)
         merged = SweepResult(f"spacing characterizations n <= {n_max}")
     second = worked_four_letter_example()

@@ -173,6 +173,15 @@ def test_verify_pass_and_usage(capsys):
 
 
 def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
+    # thm3 scans 2^(3n) prefixes at M = 3: n = 7 is over core's 20-bit
+    # budget and is refused before any prefix is decided
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decided prefixes over the budget")
+
+    monkeypatch.setattr(sweeps, "batch_seen", unreachable)
+    assert run_error("verify", "thm3", "--n", "7") == 2
+    assert ("exhaustive sweep over 2^21 prefixes exceeds the 20-bit budget"
+            in capsys.readouterr().err)
     assert run_error("verify", "thm3", "--n", "8") == 2
     calls = []
 

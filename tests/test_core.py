@@ -9,7 +9,7 @@ from wordseen.core import (
     Embedding,
     SequencePrefix,
     _advance,
-    _prefix_rows,
+    _prefix_blocks,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     count_embeddings,
@@ -160,7 +160,8 @@ def test_packed_matches_scalar_exhaustively(M):
         for L in range(max(n * M - 1, 0), n * M + 2):
             for letters in itertools.product((0, 1), repeat=n):
                 w = BinaryWord(letters)
-                counts = count_embeddings(letters, _prefix_rows(L), M)
+                ys = np.concatenate(list(_prefix_blocks(L)))
+                counts = count_embeddings(letters, ys, M)
                 for val in range(1 << L):
                     y = [(val >> i) & 1 for i in range(L)]
                     embeddings = list(enumerate_embeddings(w, y, M))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordseen import montecarlo
+from wordseen import core, montecarlo
 from wordseen.core import BinaryWord, SequencePrefix, is_m_seen, seen_within
 from wordseen.exactprob import exact_seen_probability
 from wordseen.montecarlo import (
@@ -104,6 +104,15 @@ def test_batch_seen_across_lane_boundaries(R):
         mixed = gen.integers(0, 2, (R, n), dtype=np.uint8)
         check(mixed, gen.integers(0, 2, (R, L), dtype=np.uint8), M)
         check(mixed, (gen.random((R, L)) < 0.8).astype(np.uint8), M)
+        # one (1, n) word row stands for that word in every row
+        for word in (zeros[:1], np.ones((1, n), dtype=np.uint8), mixed[:1]):
+            ys = gen.integers(0, 2, (R, L), dtype=np.uint8)
+            assert (batch_seen(word, ys, M) == check(np.tile(word, (R, 1)), ys, M)).all()
+
+
+def test_batch_seen_is_cores_kernel():
+    """One kernel object: the benchmark's tracer rebinds every alias of it."""
+    assert montecarlo.batch_seen is core.batch_seen
 
 
 def test_seeded_estimates_pinned():
@@ -155,6 +164,10 @@ def test_coupling_blocks_by_hand():
         coupling_F("110", 0.5, gen)
     with pytest.raises(ValueError):
         coupling_witness("1100", "11")
+    # the first block whose letters both differ from its output letter is named
+    assert coupling_witness("100111", "011") == (2, 4, 5)
+    with pytest.raises(ValueError, match="^output letter 2 matches neither source letter$"):
+        coupling_witness("100011", "110")
 
 
 def test_witness_positions_always_admissible():
