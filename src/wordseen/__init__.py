@@ -20,7 +20,6 @@ from .exactprob import (
     exact_seen_probability,
     exhaustive_seen_probability,
     max_word_probability,
-    word_probability_sweep,
 )
 from .recursions import (
     AlphaBeta,

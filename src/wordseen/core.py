@@ -298,6 +298,13 @@ def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:
 def is_m_seen(word: WordLike, prefix: PrefixLike, M: int) -> bool:
     """Decide the M-seen event.  Requires len(prefix) >= n*M so the answer
     is the same for every extension of the prefix."""
+    w, y = _decidable(word, prefix, M)
+    return seen_within(w, SequencePrefix(y.bits[:w.n * M]), M)
+
+
+def _decidable(word: WordLike, prefix: PrefixLike, M: int) -> tuple[BinaryWord, SequencePrefix]:
+    """Coerce the word and the prefix, refusing a prefix shorter than the
+    n*M letters that decide the seen event."""
     w = as_word(word)
     y = as_prefix(prefix)
     _check_window(M)
@@ -305,8 +312,7 @@ def is_m_seen(word: WordLike, prefix: PrefixLike, M: int) -> bool:
         raise ValueError(
             f"prefix of length {len(y)} cannot decide a word of length {w.n} "
             f"with window {M}; need at least {w.n * M} letters")
-    horizon = SequencePrefix(y.bits[:w.n * M])
-    return seen_within(w, horizon, M)
+    return w, y
 
 
 def standard_embedding(word: WordLike, prefix: PrefixLike, M: int) -> Embedding | None:
@@ -317,13 +323,7 @@ def standard_embedding(word: WordLike, prefix: PrefixLike, M: int) -> Embedding 
     earliest matching is wrong: it can paint itself into a corner that a
     later first step would avoid.
     """
-    w = as_word(word)
-    y = as_prefix(prefix)
-    _check_window(M)
-    if len(y) < w.n * M:
-        raise ValueError(
-            f"prefix of length {len(y)} cannot decide a word of length {w.n} "
-            f"with window {M}; need at least {w.n * M} letters")
+    w, y = _decidable(word, prefix, M)
     masks = _letter_masks(_pack(y.bits), len(y))
     steps = _smear_steps(M)
 

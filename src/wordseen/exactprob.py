@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,6 +26,15 @@ DEAD = "DEAD"
 
 # Subset states one automaton may discover.
 _STATE_CAP = 10 ** 6
+
+
+# Word length up to which max_word_probability sweeps all 2^n words.
+_WORD_BITS = 20
+
+
+def _check_word_bits(n: int) -> None:
+    if n > _WORD_BITS:
+        raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
 
 
 class StateCapExceeded(RuntimeError):
@@ -151,19 +160,6 @@ def exhaustive_seen_probability(word: WordLike, M: int,
     return Fraction(total, b ** L)
 
 
-def word_probability_sweep(n: int, M: int,
-                           p: Rational = Fraction(1, 2)) -> Iterator[tuple[BinaryWord, Fraction]]:
-    """(word, exact seen probability) for every word of length n, lex order."""
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
-    if n > 20:
-        raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
-    prob = Fraction(p)
-    for letters in product((0, 1), repeat=n):
-        w = BinaryWord(letters)
-        yield w, exact_seen_probability(w, M, prob)
-
-
 @dataclass(frozen=True)
 class MaxWordResult:
     """All maximizing words (lex order) and the shared maximum probability."""
@@ -172,15 +168,21 @@ class MaxWordResult:
     probability: Fraction
 
 
-def max_word_probability(n: int, M: int, p: Rational = Fraction(1, 2)) -> MaxWordResult:
-    """Maximize the exact seen probability over all words of length n.
+def max_word_probability(n: int, M: int) -> MaxWordResult:
+    """Maximize the exact seen probability at p = 1/2 over all words of
+    length n, swept in lex order.
 
     Ties are real (complementation preserves the probability at p = 1/2),
     so every maximizer is reported.
     """
+    if n < 0:
+        raise ValueError(f"word length must be >= 0, got {n}")
+    _check_word_bits(n)
     best: Fraction | None = None
     winners: list[BinaryWord] = []
-    for w, value in word_probability_sweep(n, M, p):
+    for letters in product((0, 1), repeat=n):
+        w = BinaryWord(letters)
+        value = exact_seen_probability(w, M)
         if best is None or value > best:
             best = value
             winners = [w]

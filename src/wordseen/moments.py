@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
+from operator import eq
 
 import numpy as np
 
@@ -69,6 +70,15 @@ def second_moment_exact(word: WordLike, M: int) -> Fraction:
     return Fraction(done, 4 ** n)
 
 
+def _walk_positions(M: int, n: int) -> list[tuple[int, ...]]:
+    """The M^n position sequences of an n-step walk with steps in 1..M, for
+    the oracles that pair them up: M^(2n) pairs over _PAIR_BUDGET are
+    refused before any walk is built."""
+    if M ** (2 * n) > _PAIR_BUDGET:
+        raise ValueError(f"pair enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
+    return [tuple(accumulate(gaps)) for gaps in product(range(1, M + 1), repeat=n)]
+
+
 def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
     """Oracle: E(N_n^2) as a direct sum over all M^(2n) pairs of admissible
     position sequences, the walk-side cross-check of second_moment_exact.
@@ -77,15 +87,7 @@ def second_moment_pairsum(word: WordLike, M: int) -> Fraction:
     w = as_word(word)
     _check_window(M)
     n = w.n
-    if M ** (2 * n) > _PAIR_BUDGET:
-        raise ValueError(f"pair enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
-    walks = []
-    for gaps in product(range(1, M + 1), repeat=n):
-        pos, acc = [], 0
-        for g in gaps:
-            acc += g
-            pos.append(acc)
-        walks.append(tuple(pos))
+    walks = _walk_positions(M, n)
     index_at = [{m: s for s, m in enumerate(pos)} for pos in walks]
     total = 0
     for j_pos in walks:
@@ -213,23 +215,11 @@ def visits_moment_bruteforce(M: int, n: int) -> Fraction:
     _check_window(M)
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
-    if M ** (2 * n) > _PAIR_BUDGET:
-        raise ValueError(f"enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
+    walks = _walk_positions(M, n)
     total = 0
-    for a_steps in product(range(1, M + 1), repeat=n):
-        a_pos = []
-        acc = 0
-        for g in a_steps:
-            acc += g
-            a_pos.append(acc)
-        for b_steps in product(range(1, M + 1), repeat=n):
-            z = 0
-            acc = 0
-            for i, g in enumerate(b_steps):
-                acc += g
-                if acc == a_pos[i]:
-                    z += 1
-            total += 2 ** z
+    for a_pos in walks:
+        for b_pos in walks:
+            total += 2 ** sum(map(eq, a_pos, b_pos))
     return Fraction(total, M ** (2 * n))
 
 

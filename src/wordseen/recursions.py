@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
-from .core import BinaryWord
+from .core import BinaryWord, WordLike, as_word
 from .exactprob import exact_seen_probability
 
 
@@ -171,8 +172,8 @@ def sigma_closed_form(M: int, p: int, j: int) -> Fraction:
 
 def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
     """Oracle: (sigma, sigma') by exact dynamic programming over the
-    spacing chain; cross-checks sigma_closed_form (u_table runs it when
-    check_oracle_upto is set).
+    spacing chain; cross-checks sigma_closed_form (the two-block sweep
+    compares them for p + j <= 8).
 
     Walks T_1..T_{p+j} with iid geometric(1/2) spacings; the first p steps
     are conditioned on spacing <= M by dropping violating mass, later steps
@@ -220,14 +221,12 @@ class TwoBlockTable:
     delta: tuple[tuple[Fraction, ...], ...]
 
 
-def u_table(M: int, P: int, Q: int, check_oracle_upto: int | None = None) -> TwoBlockTable:
+def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     """Build the two-block grids from the sigma closed form.
 
     sigma' is the exact complement alpha^p - sigma; u is computed through
     both of its series expressions (one in sigma', one in sigma) and the two
-    must agree entry by entry.  With check_oracle_upto set, sigma and
-    sigma' are additionally recomputed by the spacing-chain oracle for all
-    p + j up to that bound.
+    must agree entry by entry.
     """
     ab = AlphaBeta.for_window(M).require_two_plus()
     if P < 0 or Q < 0:
@@ -238,16 +237,6 @@ def u_table(M: int, P: int, Q: int, check_oracle_upto: int | None = None) -> Two
 
     sigma = [[sigma_closed_form(M, p, j) for j in range(Q + 1)] for p in range(P + 1)]
     sigma_prime = [[alpha ** p - sigma[p][j] for j in range(Q + 1)] for p in range(P + 1)]
-    if check_oracle_upto is not None:
-        for p in range(P + 1):
-            for j in range(Q + 1):
-                if p + j <= check_oracle_upto:
-                    got = sigma_oracle(M, p, j)
-                    if got != (sigma[p][j], sigma_prime[p][j]):
-                        raise AssertionError(
-                            f"sigma oracle disagrees with closed form at "
-                            f"M={M}, p={p}, j={j}: {got} vs "
-                            f"({sigma[p][j]}, {sigma_prime[p][j]})")
 
     u: list[list[Fraction]] = []
     w: list[list[Fraction]] = []
@@ -368,62 +357,33 @@ def sigma_generating_identity(M: int, p: int, order: int) -> bool:
 # window-2 suffix bounds behind the exact maximality proof
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuffixBoundRow:
-    m: int
-    w_m: Fraction       # P(last-m suffix is 2-seen)
-    w_m1: Fraction      # ... with leftmost embedding starting at 1
-    w_m2: Fraction      # ... starting at 2
-    halving_exact: bool  # w_{m,1} = w_{m-1} / 2
-    quarter_bound: bool  # w_{m,2} <= w_{m-1,2}/4 + w_{m-1}/4
-    below_vm: bool      # w_m <= v_m
+def verify_suffix_bounds_m2(words: Iterable[WordLike]) -> list[BinaryWord]:
+    """Exact suffix bookkeeping for window 2: the words whose row breaks,
+    shortest first, among the given words and all their suffixes.
 
-
-@dataclass(frozen=True)
-class SuffixBoundReport:
-    word: BinaryWord
-    rows: tuple[SuffixBoundRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.halving_exact and r.quarter_bound and r.below_vm
-                   for r in self.rows)
-
-
-def verify_suffix_bounds_m2(word: BinaryWord | str) -> SuffixBoundReport:
-    """Exact suffix bookkeeping for window 2.
-
-    For each suffix length m, split the seen probability by where the
-    leftmost embedding starts: w_{m,1} halves exactly (the first letter
-    either matches at position 1 or it does not), while w_{m,2} only obeys
-    the one-sided quarter bound; together these force w_m <= v_m.
+    Split P(u) = P(u is 2-seen) by where the leftmost embedding starts, and
+    let r be u without its first letter: the start at 1, P1(u), halves P(r)
+    exactly (the first letter either matches at position 1 or it does not),
+    while the start at 2, P(u) - P1(u), only obeys the one-sided quarter
+    bound; together these force P(u) <= v_|u|.  Each distinct word is
+    computed once, against one v_n table.
     """
-    from .core import as_word
     M = 2
-    w = as_word(word)
-    n = w.n
-    if n == 0:
-        return SuffixBoundReport(w, ())
-    vtab = vn_pair_recursion(M, n)
+    rows = {w.suffix(m) for w in map(as_word, words) for m in range(1, w.n + 1)}
+    vtab = vn_pair_recursion(M, max((u.n for u in rows), default=0))
+    P = {BinaryWord(()): Fraction(1)}
+    P1 = {}
+    for u in rows:
+        P[u] = exact_seen_probability(u, M)
+        P1[u] = exact_seen_probability(u, M, first_gap=1)
 
-    w_m: list[Fraction] = [Fraction(1)]   # m = 0: empty suffix
-    w_m1: list[Fraction] = [Fraction(0)]
-    w_m2: list[Fraction] = [Fraction(0)]
-    for m in range(1, n + 1):
-        suf = w.suffix(m)
-        start1 = exact_seen_probability(suf, M, first_gap=1)
-        total = exact_seen_probability(suf, M)
-        w_m1.append(start1)
-        w_m2.append(total - start1)
-        w_m.append(total)
-
-    rows = []
-    for m in range(1, n + 1):
-        halving = w_m1[m] == w_m[m - 1] / 2
-        if m == 1:
-            quarter = w_m2[1] == Fraction(1, 4)
+    def holds(u: BinaryWord) -> bool:
+        r = u.suffix(u.n - 1)
+        start2 = P[u] - P1[u]
+        if u.n == 1:
+            quarter = start2 == Fraction(1, 4)
         else:
-            quarter = w_m2[m] <= w_m2[m - 1] / 4 + w_m[m - 1] / 4
-        rows.append(SuffixBoundRow(m, w_m[m], w_m1[m], w_m2[m], halving,
-                                   quarter, w_m[m] <= vtab.v[m]))
-    return SuffixBoundReport(w, tuple(rows))
+            quarter = start2 <= (P[r] - P1[r]) / 4 + P[r] / 4
+        return P1[u] == P[r] / 2 and quarter and P[u] <= vtab.v[u.n]
+
+    return [u for u in sorted(rows, key=lambda u: (u.n, u.letters)) if not holds(u)]

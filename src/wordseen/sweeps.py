@@ -22,7 +22,7 @@ from .core import (
     is_m_seen,
     s_sequence,
 )
-from .exactprob import exact_seen_probability, max_word_probability
+from .exactprob import _check_word_bits, exact_seen_probability, max_word_probability
 from .moments import (
     embedding_count_moments,
     expected_embeddings,
@@ -47,6 +47,7 @@ from .recursions import (
     delta_operator,
     pq_polynomials,
     sigma_generating_identity,
+    sigma_oracle,
     u_table,
     verify_suffix_bounds_m2,
     vn_pair_recursion,
@@ -76,6 +77,7 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
+    _check_word_bits(n_max)  # before the first sweep, not after all smaller ones
     res = SweepResult(f"max-word sweep M={M}, n <= {n_max}")
     vtab = vn_pair_recursion(M, n_max + 1)
     for n in range(1, n_max + 1):
@@ -103,15 +105,11 @@ def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
                  f"-> {target:.7f}")
         # start-position split behind the maximality proof: every word up to
         # length 6, the alternating word beyond
-        for n in range(1, 7):
-            for letters in product((0, 1), repeat=n):
-                report = verify_suffix_bounds_m2(BinaryWord(letters))
-                if not report.ok:
-                    res.fail(f"suffix bounds break for word "
-                             f"{BinaryWord(letters)}")
-        for n in range(7, n_max + 1):
-            if not verify_suffix_bounds_m2(BinaryWord.alternating(1, n)).ok:
-                res.fail(f"suffix bounds break for the alternating word, n={n}")
+        words = [BinaryWord(letters) for n in range(1, 7)
+                 for letters in product((0, 1), repeat=n)]
+        words += [BinaryWord.alternating(1, n) for n in range(7, n_max + 1)]
+        for word in verify_suffix_bounds_m2(words):
+            res.fail(f"suffix bounds break for word {word}")
         res.note(f"max = v_n with alternating maximizers for all n <= {n_max}; "
                  f"start-position bounds hold")
     return res
@@ -126,7 +124,14 @@ def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
     for M in (2, 3, 4, 5):
         ab = AlphaBeta.for_window(M)
         try:
-            table = u_table(M, total_max, total_max, check_oracle_upto=8)
+            table = u_table(M, total_max, total_max)
+            for p, j in product(range(total_max + 1), repeat=2):
+                want = (table.sigma[p][j], table.sigma_prime[p][j])
+                got = sigma_oracle(M, p, j) if p + j <= 8 else want
+                if got != want:
+                    raise AssertionError(
+                        f"sigma oracle disagrees with closed form at "
+                        f"M={M}, p={p}, j={j}: {got} vs ({want[0]}, {want[1]})")
         except AssertionError as err:
             res.fail(f"M={M}: {err}")
             continue

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -183,6 +184,14 @@ def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
     assert ("exhaustive sweep over 2^21 prefixes exceeds the 20-bit budget"
             in capsys.readouterr().err)
     assert run_error("verify", "thm3", "--n", "8") == 2
+    # thm1a sweeps 2^n words for each n <= --n: n = 21 is over the word
+    # budget and is refused before the sweeps for n <= 20 run
+    monkeypatch.setattr(sweeps, "max_word_probability", unreachable)
+    start = time.perf_counter()
+    assert run_error("verify", "thm1a", "--n", "21") == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("sweep over 2^21 words exceeds the enumeration budget"
+            in capsys.readouterr().err)
     calls = []
 
     def fake(**kwargs):

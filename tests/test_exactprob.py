@@ -14,7 +14,6 @@ from wordseen.exactprob import (
     exact_seen_probability,
     exhaustive_seen_probability,
     max_word_probability,
-    word_probability_sweep,
 )
 from wordseen.moments import (embedding_count_moments, expected_embeddings,
                               second_moment_exact, second_moment_oracle)
@@ -152,15 +151,24 @@ def test_first_gap_split():
 # sweeping all words of one length
 # ---------------------------------------------------------------------------
 
-def test_sweep_order_and_count():
-    out = list(word_probability_sweep(3, 2))
-    assert len(out) == 8
-    words = [str(w) for w, _ in out]
+def test_sweep_order_and_count(monkeypatch):
+    """max_word_probability sweeps the 8 words of length 3 in lex order, and
+    complement pairs tie at p = 1/2."""
+    swept = []
+
+    def recording(word, M):
+        swept.append((word, exact_seen_probability(word, M)))
+        return swept[-1][1]
+
+    monkeypatch.setattr(exactprob, "exact_seen_probability", recording)
+    res = max_word_probability(3, 2)
+    assert len(swept) == 8
+    words = [str(w) for w, _ in swept]
     assert words == sorted(words)
-    # complement pairs tie
-    probs = dict(out)
-    for w, val in out:
+    probs = dict(swept)
+    for w, val in swept:
         assert probs[w.complement()] == val
+    assert {str(w) for w in res.words} == {"010", "101"}
 
 
 def test_max_word_small_cases():
@@ -172,6 +180,7 @@ def test_max_word_small_cases():
     assert {str(w) for w in res4.words} == {"0101", "1010"}
 
 
-def test_sweep_budget():
-    with pytest.raises(ValueError):
-        list(word_probability_sweep(21, 2))
+def test_sweep_budget(monkeypatch):
+    monkeypatch.setattr(exactprob, "exact_seen_probability", None)  # never reached
+    with pytest.raises(ValueError, match=r"sweep over 2\^21 words exceeds the enumeration budget"):
+        max_word_probability(21, 2)

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from wordseen import exactprob, recursions, sweeps
 from wordseen.core import BinaryWord
 from wordseen.exactprob import exact_seen_probability
 from wordseen.recursions import (
@@ -112,7 +114,10 @@ def test_u_table_sandwich_small():
 
 
 def test_u_oracle_crosscheck():
-    u_table(3, 4, 4, check_oracle_upto=5)
+    t = u_table(3, 4, 4)
+    for p, j in itertools.product(range(5), repeat=2):
+        if p + j <= 5:
+            assert sigma_oracle(3, p, j) == (t.sigma[p][j], t.sigma_prime[p][j])
 
 
 def test_delta_operator_kills_alpha_powers():
@@ -149,15 +154,55 @@ def test_generating_identity(M, p):
 # ---------------------------------------------------------------------------
 
 def test_suffix_bounds_alternating():
-    report = verify_suffix_bounds_m2(BinaryWord.alternating(1, 6))
-    assert report.ok
-    first = report.rows[0]
-    assert (first.w_m, first.w_m1, first.w_m2) == (
+    assert verify_suffix_bounds_m2([BinaryWord.alternating(1, 6)]) == []
+    # the first row, word 0: P = 3/4 splits into 1/2 from start 1 and 1/4
+    # from start 2
+    total = exact_seen_probability("0", 2)
+    start1 = exact_seen_probability("0", 2, first_gap=1)
+    assert (total, start1, total - start1) == (
         Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
 def test_suffix_bounds_every_short_word():
-    import itertools
-    for n in range(1, 5):
-        for letters in itertools.product((0, 1), repeat=n):
-            assert verify_suffix_bounds_m2(BinaryWord(letters)).ok
+    words = [BinaryWord(letters) for n in range(1, 5)
+             for letters in itertools.product((0, 1), repeat=n)]
+    assert verify_suffix_bounds_m2(words) == []
+    assert verify_suffix_bounds_m2([]) == []
+
+
+@pytest.mark.parametrize("bits,gap", [("011010", 1), ("010000", None)])
+def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
+    """Raising one value of one 6-letter word breaks one condition of its
+    row: the start-1 value its halving, the total (whose quarter bound is
+    tight) its quarter bound.  No longer word is checked, so no other row
+    reads it, and the bound check and the thm1a sweep name exactly it."""
+    broken = BinaryWord.from_string(bits)
+
+    def perturbed(word, M, first_gap=None):
+        value = exact_seen_probability(word, M, first_gap=first_gap)
+        if word == broken and first_gap == gap:
+            value += Fraction(1, 2 ** 20)
+        return value
+
+    monkeypatch.setattr(recursions, "exact_seen_probability", perturbed)
+    words = [BinaryWord(letters) for n in range(1, 7)
+             for letters in itertools.product((0, 1), repeat=n)]
+    assert verify_suffix_bounds_m2(words) == [broken]
+    res = sweeps.sweep_max_word(2, 4)
+    assert not res.ok
+    assert res.counterexample == f"suffix bounds break for word {bits}"
+
+
+def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
+    """sweep_max_word(2, 6) builds the 126 words of length <= 6 once for the
+    maximum and twice (with and without first_gap) for the bounds: 378."""
+    calls = []
+    build = exactprob.build_automaton
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(exactprob, "build_automaton", counting)
+    assert sweeps.sweep_max_word(2, 6).ok
+    assert len(calls) == 378
