@@ -3,7 +3,6 @@
 from .core import (
     BinaryWord,
     Embedding,
-    SequencePrefix,
     alternating_seen_by_spacings,
     constant_seen_by_spacings,
     enumerate_embeddings,

@@ -22,13 +22,13 @@ Bits = tuple[int, ...]
 
 
 def _coerce_bits(raw: Union[str, Iterable[int]], what: str) -> Bits:
-    if isinstance(raw, str):
-        raw = (int(ch) for ch in raw)
-    bits = tuple(int(b) for b in raw)
-    for b in bits:
-        if b not in (0, 1):
+    # each raw letter is checked before int() could truncate it: 1.0 passes, 0.5 does not
+    letters = tuple(raw)
+    allowed = ("0", "1") if isinstance(raw, str) else (0, 1)
+    for b in letters:
+        if b not in allowed:
             raise ValueError(f"{what} letters must be 0 or 1, got {b!r}")
-    return bits
+    return tuple(map(int, letters))
 
 
 @dataclass(frozen=True)
@@ -85,28 +85,8 @@ class BinaryWord:
         return BinaryWord(self.letters[self.n - m:])
 
 
-@dataclass(frozen=True)
-class SequencePrefix:
-    """A finite 0/1 sequence prefix, drawn at any bias; ``bits[i]`` is Y_{i+1}."""
-
-    bits: Bits
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _coerce_bits(self.bits, "sequence"))
-
-    @classmethod
-    def from_string(cls, s: str) -> "SequencePrefix":
-        return cls(_coerce_bits(s, "sequence"))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 WordLike = Union[BinaryWord, str, Sequence[int]]
-PrefixLike = Union[SequencePrefix, str, Sequence[int]]
+PrefixLike = Union[str, Sequence[int], np.ndarray]
 
 
 def as_word(w: WordLike) -> BinaryWord:
@@ -115,10 +95,19 @@ def as_word(w: WordLike) -> BinaryWord:
     return BinaryWord(_coerce_bits(w, "word"))
 
 
-def as_prefix(y: PrefixLike) -> SequencePrefix:
-    if isinstance(y, SequencePrefix):
-        return y
-    return SequencePrefix(_coerce_bits(y, "sequence"))
+def as_prefix(y: PrefixLike) -> np.ndarray:
+    """A prefix in the package's one format, a 1-D 0/1 uint8 array whose entry
+    i is Y_{i+1}, from a string of 0s and 1s, a sequence or an array.  A
+    letter that is not exactly 0 or 1, or an input that is not 1-D, is refused."""
+    text = isinstance(y, str)
+    arr = np.array(list(y), dtype="U1") if text else np.asarray(y)
+    if arr.ndim != 1:
+        raise ValueError(f"a sequence prefix must be 1-D, got shape {arr.shape}")
+    zero, one = ("0", "1") if text else (0, 1)
+    bad = (arr != zero) & (arr != one)
+    if bad.any():
+        raise ValueError(f"sequence letters must be 0 or 1, got {arr[bad].tolist()[0]!r}")
+    return (arr == one).astype(np.uint8)
 
 
 def _check_window(M: int) -> None:
@@ -191,9 +180,9 @@ def _advance(members: frozenset[tuple[int, int]], letter: int, letters: Bits,
     return frozenset(ages.items())
 
 
-def _pack(bits: Bits) -> int:
+def _pack(y: np.ndarray) -> int:
     """A prefix as the integer seen_packed takes (bit m-1 = Y_m)."""
-    return int("".join(map(str, reversed(bits))) or "0", 2)
+    return int.from_bytes(np.packbits(y, bitorder="little").tobytes(), "little")
 
 
 def _letter_masks(y: int, L: int) -> tuple[int, int]:
@@ -292,17 +281,17 @@ def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:
     w = as_word(word)
     y = as_prefix(prefix)
     _check_window(M)
-    return seen_packed(w.letters, _pack(y.bits), len(y), M)
+    return seen_packed(w.letters, _pack(y), len(y), M)
 
 
 def is_m_seen(word: WordLike, prefix: PrefixLike, M: int) -> bool:
     """Decide the M-seen event.  Requires len(prefix) >= n*M so the answer
     is the same for every extension of the prefix."""
     w, y = _decidable(word, prefix, M)
-    return seen_within(w, SequencePrefix(y.bits[:w.n * M]), M)
+    return seen_within(w, y[:w.n * M], M)
 
 
-def _decidable(word: WordLike, prefix: PrefixLike, M: int) -> tuple[BinaryWord, SequencePrefix]:
+def _decidable(word: WordLike, prefix: PrefixLike, M: int) -> tuple[BinaryWord, np.ndarray]:
     """Coerce the word and the prefix, refusing a prefix shorter than the
     n*M letters that decide the seen event."""
     w = as_word(word)
@@ -324,7 +313,7 @@ def standard_embedding(word: WordLike, prefix: PrefixLike, M: int) -> Embedding 
     later first step would avoid.
     """
     w, y = _decidable(word, prefix, M)
-    masks = _letter_masks(_pack(y.bits), len(y))
+    masks = _letter_masks(_pack(y), len(y))
     steps = _smear_steps(M)
 
     # feas[k-1], bit m: prefix w_1..w_k can end at m and the rest of the word
@@ -364,7 +353,7 @@ def enumerate_embeddings(word: WordLike, prefix: PrefixLike, M: int) -> Iterator
             yield tuple(acc)
             return
         for m in range(cur + 1, min(cur + M, L) + 1):
-            if y.bits[m - 1] == w.letters[k]:
+            if y[m - 1] == w.letters[k]:
                 acc.append(m)
                 yield from extend(k + 1, m, acc)
                 acc.pop()
@@ -380,19 +369,19 @@ def enumerate_embeddings(word: WordLike, prefix: PrefixLike, M: int) -> Iterator
 # one row of deadlines per prefix.
 # ---------------------------------------------------------------------------
 
-def hitting_times(word: WordLike, ys: Union[PrefixLike, np.ndarray]) -> np.ndarray:
+def hitting_times(word: WordLike, ys: PrefixLike) -> np.ndarray:
     """Hitting times T_1 < ... < T_n of the word's letters read left to right:
     T_k is the first position after T_(k-1) (T_0 = 0) showing w_k.
 
-    ys is one prefix or a 0/1 array of prefixes, shape (R, L); row r of the
+    ys is one prefix or a 2-D 0/1 array of prefixes, shape (R, L); row r of the
     (R, n) result belongs to prefix r, and np.diff(T, prepend=0) gives the
     spacings.  Raises ValueError if some letter is never hit; callers that
     need all of T_1..T_n on exhaustive prefixes extend them with an
     alternating tail first (the seen decision is unaffected past its horizon).
     """
     w = as_word(word)
-    if not isinstance(ys, np.ndarray):
-        ys = np.array([as_prefix(ys).bits], dtype=np.uint8)
+    if not (isinstance(ys, np.ndarray) and ys.ndim == 2):
+        ys = as_prefix(ys)[None]
     R, L = ys.shape
     cols = np.arange(1, L + 1)
     T = np.zeros((R, w.n), dtype=np.int64)

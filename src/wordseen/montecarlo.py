@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     BinaryWord,
-    SequencePrefix,
+    PrefixLike,
     WordLike,
     _check_window,
     as_prefix,
@@ -28,7 +28,8 @@ from .core import (
 # Sequence letters drawn and scored per batch.  Estimates draw their trials
 # in row chunks of at most this many letters, so memory stays bounded
 # whatever `trials` is; Generator.random fills rows in order, so the stream
-# and every estimate are the same as for one draw of all rows.
+# and every estimate are the same as for one draw of all rows.  One
+# sample_sequence draw is held to the same budget.
 _CHUNK_CELLS = 1 << 22
 
 # Stages plan_parameter_path may plan before giving up.
@@ -53,13 +54,16 @@ def _check_p(p: float, name: str = "p") -> float:
     return p
 
 
-def sample_sequence(p: float, length: int, gen: np.random.Generator) -> SequencePrefix:
-    """One iid 0/1 prefix with P(letter = 1) = p."""
+def sample_sequence(p: float, length: int, gen: np.random.Generator) -> np.ndarray:
+    """One iid 0/1 prefix with P(letter = 1) = p, as a uint8 array.  A length
+    over _CHUNK_CELLS is refused before the draw."""
     _check_p(p)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    bits = (gen.random(length) < p).astype(np.uint8)
-    return SequencePrefix(bits.tolist())
+    if length > _CHUNK_CELLS:
+        raise ValueError(f"a prefix of {length} letters is over the budget "
+                         f"of {_CHUNK_CELLS}")
+    return (gen.random(length) < p).astype(np.uint8)
 
 
 def _estimate_hits(trials: int, M: int, width: int, draw: Callable) -> tuple[float, float]:
@@ -148,18 +152,14 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
 # red grids
 # ---------------------------------------------------------------------------
 
-def red_grid(x: WordLike, y: Union[SequencePrefix, str, Sequence[int]]) -> np.ndarray:
+def red_grid(x: WordLike, y: PrefixLike) -> np.ndarray:
     """Match grid of shape (n + 1, L + 1): red[i, j] iff X_i = Y_j, with row
     0 and column 0 holding only the red origin."""
     w = as_word(x)
     seq = as_prefix(y)
-    n, L = w.n, len(seq)
-    red = np.zeros((n + 1, L + 1), dtype=bool)
+    red = np.zeros((w.n + 1, len(seq) + 1), dtype=bool)
     red[0, 0] = True
-    if n and L:
-        wv = np.array(w.letters, dtype=np.uint8)[:, None]
-        yv = np.array(seq.bits, dtype=np.uint8)[None, :]
-        red[1:, 1:] = wv == yv
+    red[1:, 1:] = np.uint8(w.letters)[:, None] == seq
     return red
 
 
@@ -203,8 +203,7 @@ class CouplingStage:
                              f"[{lo}, {hi}] for p_in={self.p_in}")
 
 
-def coupling_F(x: Union[SequencePrefix, str, Sequence[int]],
-               p1: float, gen: np.random.Generator) -> SequencePrefix:
+def coupling_F(x: PrefixLike, p1: float, gen: np.random.Generator) -> np.ndarray:
     """Merge consecutive letter pairs: 00 -> 0, 11 -> 1, and a mixed pair
     flips a p1-coin for 1.  Every output letter equals one of its two source
     letters, so the output is always 3-seen in the input."""
@@ -213,17 +212,15 @@ def coupling_F(x: Union[SequencePrefix, str, Sequence[int]],
         raise ValueError(f"input length must be even, got {len(seq)}")
     if not 0 <= p1 <= 1:
         raise ValueError(f"p1 must be in [0, 1], got {p1}")
-    arr = np.array(seq.bits, dtype=np.uint8).reshape(-1, 2)
-    sums = arr.sum(axis=1)
+    sums = seq.reshape(-1, 2).sum(axis=1)
     out = (sums == 2).astype(np.uint8)
     mixed = sums == 1
     if mixed.any():
         out[mixed] = (gen.random(int(mixed.sum())) < p1).astype(np.uint8)
-    return SequencePrefix(out.tolist())
+    return out
 
 
-def coupling_witness(x: Union[SequencePrefix, str, Sequence[int]],
-                     out: Union[SequencePrefix, str, Sequence[int]]) -> tuple[int, ...]:
+def coupling_witness(x: PrefixLike, out: PrefixLike) -> tuple[int, ...]:
     """Positions m_k in {2k-1, 2k} with x_{m_k} = out_k; the gaps are then
     automatically in {1, 2, 3}.  Raises if some output letter matches
     neither source letter of its block."""
@@ -232,14 +229,13 @@ def coupling_witness(x: Union[SequencePrefix, str, Sequence[int]],
     if len(xs) != 2 * len(os):
         raise ValueError(f"length mismatch: {len(xs)} input letters for "
                          f"{len(os)} output letters")
-    letters = np.frombuffer(bytes(os.bits), dtype=np.uint8)
-    blocks = np.frombuffer(bytes(xs.bits), dtype=np.uint8).reshape(-1, 2)
-    first = blocks[:, 0] == letters
-    neither = ~first & (blocks[:, 1] != letters)
+    blocks = xs.reshape(-1, 2)
+    first = blocks[:, 0] == os
+    neither = ~first & (blocks[:, 1] != os)
     if neither.any():
         raise ValueError(f"output letter {int(neither.argmax()) + 1} matches "
                          f"neither source letter")
-    return tuple((2 * np.arange(1, len(letters) + 1) - first).tolist())
+    return tuple((2 * np.arange(1, len(os) + 1) - first).tolist())
 
 
 def plan_parameter_path(p: float, p_target: float) -> list[CouplingStage]:
@@ -335,11 +331,11 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
                 ok = False
                 break
             cur = nxt
-        if ok and k and not seen_within(BinaryWord(cur.bits), seq, window):
+        if ok and k and not seen_within(BinaryWord(cur), seq, window):
             ok = False
         if not ok:
             failures += 1
-        total += sum(cur.bits)
+        total += int(cur.sum())
     letters = samples * length
     empirical = total / letters
     tolerance = 4 * math.sqrt(p_target * (1 - p_target) / letters)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     BinaryWord,
-    SequencePrefix,
     _prefix_blocks,
     alternating_seen_by_spacings,
     batch_seen,
@@ -40,6 +39,7 @@ from .montecarlo import (
     coupling_witness,
     plan_parameter_path,
     red_grid,
+    sample_sequence,
 )
 from .recursions import (
     AlphaBeta,
@@ -168,7 +168,7 @@ def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray,
            ys: np.ndarray) -> None:
     if not (verdict == seen).all():
         row = ys[int(np.argmax(verdict != seen))]
-        res.fail(f"{what} disagrees at prefix {''.join(map(str, row.tolist()))}")
+        res.fail(f"{what} disagrees at prefix {''.join(map(str, row))}")
 
 
 def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
@@ -377,8 +377,7 @@ def sweep_couplings(samples: int = 10 ** 4, seed: int = 20240817) -> SweepResult
     combos = ((0.5, 0.5), (0.3, 0.2), (0.8, 0.9), (0.5, 0.0), (0.5, 1.0))
     for case, (p, p1) in enumerate(combos):
         gen = rng.stream(10, case)
-        x_bits = (gen.random(2 * samples) < p).astype(np.uint8)
-        x = SequencePrefix(x_bits.tolist())
+        x = sample_sequence(p, 2 * samples, gen)
         out = coupling_F(x, p1, gen)
         try:
             positions = coupling_witness(x, out)
@@ -391,7 +390,7 @@ def sweep_couplings(samples: int = 10 ** 4, seed: int = 20240817) -> SweepResult
         p_out = p * p + 2 * p * (1 - p) * p1
         if 0 < p_out < 1:
             band = 4 * sqrt(p_out * (1 - p_out) / samples)
-            emp = float(np.mean(out.bits))
+            emp = float(np.mean(out))
             if abs(emp - p_out) > band:
                 res.fail(f"p={p}, p1={p1}: empirical density {emp} misses "
                          f"{p_out} by more than {band}")
@@ -472,13 +471,13 @@ def red_grid_equivalence() -> SweepResult:
     for _ in range(cases):
         n = int(gen.integers(1, 7))
         M = int(gen.integers(2, 4))
-        word = BinaryWord(tuple(int(b) for b in gen.integers(0, 2, n)))
-        seq = SequencePrefix(tuple(int(b) for b in gen.integers(0, 2, n * M)))
+        word = BinaryWord(gen.integers(0, 2, n))
+        seq = gen.integers(0, 2, n * M)
         by_grid = admissible_path_exists(red_grid(word, seq), M)
         by_engine = is_m_seen(word, seq, M)
         if by_grid != by_engine:
-            res.fail(f"word {word}, sequence {seq}, M={M}: grid says "
-                     f"{by_grid}, engine says {by_engine}")
+            res.fail(f"word {word}, sequence {''.join(map(str, seq))}, M={M}: "
+                     f"grid says {by_grid}, engine says {by_engine}")
             break
     if res.ok:
         res.note("grid paths and the engine agree everywhere")

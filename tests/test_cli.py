@@ -211,6 +211,16 @@ def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
     assert run_error("verify", "lemma43", "--tol", "5") == 2
 
 
+def test_verify_coupling_over_budget_exits_two(capsys):
+    # 2097153 samples draw 2^22 + 2 letters in one sample_sequence call:
+    # refused before the draw, a usage error rather than a failed check
+    start = time.perf_counter()
+    assert run_error("verify", "coupling", "--trials", "2097153") == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("a prefix of 4194306 letters is over the budget of 4194304"
+            in capsys.readouterr().err)
+
+
 def test_state_cap_exits_two(monkeypatch, capsys):
     def capped(*args, **kwargs):
         raise StateCapExceeded("automaton for word of length 22, M=12 "

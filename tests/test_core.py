@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from wordseen.core import (
     BinaryWord,
     Embedding,
-    SequencePrefix,
     _advance,
+    _pack,
     _prefix_blocks,
     alternating_seen_by_spacings,
+    as_prefix,
     constant_seen_by_spacings,
     count_embeddings,
     count_embeddings_packed,
@@ -22,6 +23,7 @@ from wordseen.core import (
     seen_within,
     standard_embedding,
 )
+from wordseen.montecarlo import red_grid
 
 
 bits = st.lists(st.integers(0, 1), min_size=0, max_size=6)
@@ -47,6 +49,18 @@ def test_word_families():
     assert len(BinaryWord.two_block(0, 0)) == 0
     with pytest.raises(ValueError):
         BinaryWord.from_string("012")
+
+
+def test_word_letters_must_be_exactly_zero_or_one():
+    # each raw letter is checked before int(): 1.0 and True are letters,
+    # 0.5 and 1.9 are not truncated into them
+    assert str(BinaryWord((1.0, True, 0, np.uint8(1)))) == "1101"
+    with pytest.raises(ValueError, match="^word letters must be 0 or 1, got 0.5$"):
+        BinaryWord((0.5, 1.9))
+    with pytest.raises(ValueError, match="got '2'"):
+        BinaryWord.from_string("012")
+    with pytest.raises(ValueError, match="got 2"):
+        BinaryWord((0, 2))
 
 
 def test_embedding_validation():
@@ -260,7 +274,54 @@ def test_hitting_times_raise_on_a_letter_never_hit():
     assert hitting_times("", "").shape == (1, 0)
 
 
+PREFIX_FORMS = {
+    "str": lambda bits: "".join(map(str, bits)),
+    "list": list,
+    "tuple": tuple,
+    "bool": lambda bits: np.array(bits, dtype=bool),
+    "int64": lambda bits: np.array(bits, dtype=np.int64),
+    "uint8": lambda bits: np.array(bits, dtype=np.uint8),
+}
+
+
 def test_sequence_prefix_coercions():
-    assert SequencePrefix.from_string("0110").bits == (0, 1, 1, 0)
-    assert len(SequencePrefix(())) == 0
-    assert str(SequencePrefix((1, 0))) == "10"
+    for form in PREFIX_FORMS.values():
+        y = as_prefix(form([0, 1, 1, 0]))
+        assert y.dtype == np.uint8 and y.shape == (4,)
+        assert y.tolist() == [0, 1, 1, 0]
+        empty = as_prefix(form([]))
+        assert empty.dtype == np.uint8 and empty.shape == (0,)
+    assert as_prefix([1.0, True, 0]).tolist() == [1, 1, 0]
+    with pytest.raises(ValueError, match="^sequence letters must be 0 or 1, got 0.7$"):
+        as_prefix([0.7, 1.0])
+    with pytest.raises(ValueError, match="got '2'"):
+        as_prefix("0120")
+    with pytest.raises(ValueError, match="got 2"):
+        as_prefix(np.array([0, 2], dtype=np.int64))
+    with pytest.raises(ValueError, match="1-D"):
+        as_prefix(np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="1-D"):
+        as_prefix([[0, 1], [1, 0]])
+    # a letter that is not exactly 0 or 1 is refused, not truncated into one
+    with pytest.raises(ValueError):
+        is_m_seen("1", [0.7, 1.0], 2)
+
+
+def test_pack_puts_y_m_at_bit_m_minus_one():
+    for L in range(18):
+        for bits in ([1] * L, [0] * L, [(m * 5 + 3) % 7 % 2 for m in range(L)],
+                     [int(m == L - 1) for m in range(L)]):
+            old = int("".join(map(str, reversed(bits))) or "0", 2)
+            assert _pack(as_prefix(bits)) == old
+
+
+@pytest.mark.parametrize("form", PREFIX_FORMS, ids=str)
+def test_every_prefix_form_gives_the_same_answers(form):
+    y = PREFIX_FORMS[form]([1, 1, 0, 1, 1, 0, 1, 0])
+    assert seen_within("1100", y, 2)
+    assert is_m_seen("1100", y, 2)
+    assert not is_m_seen("0000", y, 2)
+    assert standard_embedding("1100", y, 2).positions == (2, 4, 6, 8)
+    assert red_grid("10", y)[1:, 1:].tolist() == [[1, 1, 0, 1, 1, 0, 1, 0],
+                                                  [0, 0, 1, 0, 0, 1, 0, 1]]
+    assert hitting_times("1100", y).tolist() == [[1, 2, 3, 6]]

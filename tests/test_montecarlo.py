@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordseen import core, montecarlo
-from wordseen.core import BinaryWord, SequencePrefix, is_m_seen, seen_within
+from wordseen.core import BinaryWord, is_m_seen, seen_within
 from wordseen.exactprob import exact_seen_probability
 from wordseen.montecarlo import (
     ChainDemoReport,
@@ -127,7 +127,15 @@ def test_seeded_estimates_pinned():
 def test_sample_sequence_density():
     gen = RngConfig(5).stream(0)
     seq = sample_sequence(0.2, 50000, gen)
-    assert abs(sum(seq.bits) / 50000 - 0.2) < 0.01
+    assert seq.dtype == np.uint8 and seq.shape == (50000,)
+    assert abs(seq.sum() / 50000 - 0.2) < 0.01
+
+
+def test_sample_sequence_letter_budget(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 8)
+    assert len(sample_sequence(0.5, 8, RngConfig(5).stream(0))) == 8
+    with pytest.raises(ValueError, match="^a prefix of 9 letters is over the budget of 8$"):
+        sample_sequence(0.5, 9, RngConfig(5).stream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +154,8 @@ def test_path_existence_matches_engine(M):
     gen = RngConfig(99).stream(1)
     for _ in range(300):
         n = int(gen.integers(1, 5))
-        x = BinaryWord(tuple(int(b) for b in gen.integers(0, 2, n)))
-        y = SequencePrefix(tuple(int(b) for b in gen.integers(0, 2, n * M)))
+        x = BinaryWord(gen.integers(0, 2, n))
+        y = gen.integers(0, 2, n * M)
         assert admissible_path_exists(red_grid(x, y), M) == is_m_seen(x, y, M)
 
 
@@ -158,7 +166,7 @@ def test_path_existence_matches_engine(M):
 def test_coupling_blocks_by_hand():
     gen = RngConfig(1).stream(0)
     out = coupling_F("1100", 0.5, gen)
-    assert out.bits == (1, 0)
+    assert out.dtype == np.uint8 and out.tolist() == [1, 0]
     assert coupling_witness("1100", out) == (1, 3)
     with pytest.raises(ValueError):
         coupling_F("110", 0.5, gen)
@@ -179,9 +187,9 @@ def test_witness_positions_always_admissible():
     for k, m in enumerate(positions, start=1):
         assert m in (2 * k - 1, 2 * k)
         assert 1 <= m - prev <= 3
-        assert x.bits[m - 1] == out.bits[k - 1]
+        assert x[m - 1] == out[k - 1]
         prev = m
-    assert seen_within(BinaryWord(out.bits), x, 3)
+    assert seen_within(BinaryWord(out), x, 3)
 
 
 def test_stage_validation():
@@ -216,6 +224,8 @@ def test_chain_demo_report():
     assert report.window == 3
     assert report.witness_failures == 0
     assert report.ok
+    # recorded before prefixes became arrays: a change in draw order moves it
+    assert report.empirical == 0.245
     again = coupling_chain_demo(0.5, 0.25, length=16, samples=50,
                                 rng=RngConfig(21))
     assert report == again

@@ -1,6 +1,8 @@
-"""The thm3 sweep on core's prefix blocks."""
+"""The thm3 sweep on core's prefix blocks, and the seeded streams of the
+coupling and red-grid sweeps."""
 
 from wordseen import core, sweeps
+from wordseen.montecarlo import RngConfig, coupling_F, sample_sequence
 
 
 def test_spacing_sweep_over_small_blocks(monkeypatch):
@@ -25,3 +27,41 @@ def test_spacing_sweep_names_the_failing_prefix(monkeypatch):
     assert not res.ok
     assert res.counterexample == ("M=2, n=1, constant(0): spacing test "
                                   "disagrees at prefix 10")
+
+
+def test_coupling_sweep_details_are_pinned():
+    """The default-seed report, recorded before prefixes became arrays: any
+    change in draw order moves a chain density."""
+    res = sweeps.sweep_couplings(samples=10 ** 4)
+    assert res.ok
+    assert res.details == [
+        "p=0.5, p1=0.5: witness holds on all 10000 blocks",
+        "p=0.3, p1=0.2: witness holds on all 10000 blocks",
+        "p=0.8, p1=0.9: witness holds on all 10000 blocks",
+        "p=0.5, p1=0.0: witness holds on all 10000 blocks",
+        "p=0.5, p1=1.0: witness holds on all 10000 blocks",
+        "chain 0.5->0.25: 1 stages, window 3, density 0.2486",
+        "chain 0.9->0.1: 5 stages, window 243, density 0.1048",
+        "chain 0.3->0.7: 2 stages, window 9, density 0.7180",
+    ]
+
+
+def test_coupling_sweep_block_streams_are_pinned():
+    """The block merges of sweep_couplings at its default seed: input and
+    output letter counts per case, recorded before prefixes became arrays."""
+    combos = ((0.5, 0.5), (0.3, 0.2), (0.8, 0.9), (0.5, 0.0), (0.5, 1.0))
+    counts = []
+    for case, (p, p1) in enumerate(combos):
+        gen = RngConfig(20240817).stream(10, case)
+        x = sample_sequence(p, 2 * 10 ** 4, gen)
+        counts.append((int(x.sum()), int(coupling_F(x, p1, gen).sum())))
+    assert counts == [(9978, 4963), (6013, 1715), (16004, 9281),
+                      (10025, 2533), (10014, 7506)]
+
+
+def test_red_grid_sweep_prints_prefixes_as_bits(monkeypatch):
+    monkeypatch.setattr(sweeps, "admissible_path_exists", lambda red, M: None)
+    res = sweeps.red_grid_equivalence()
+    assert not res.ok
+    assert res.counterexample == ("word 000110, sequence 000110010110110101, "
+                                  "M=3: grid says None, engine says True")
