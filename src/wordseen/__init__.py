@@ -21,10 +21,10 @@ from .exactprob import (
     max_word_probability,
 )
 from .recursions import (
-    AlphaBeta,
     CharPoly,
     TwoBlockTable,
     VnTable,
+    alpha_beta,
     char_poly,
     delta_operator,
     pq_polynomials,

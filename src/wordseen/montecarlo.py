@@ -303,8 +303,8 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
     Each sample draws an iid input at density p of length length * 2^k,
     pushes it through the k stages, checks the per-stage positional witness
     and that the final word sits 3^k-seen inside the original input, and
-    pools the final letters for the density check.  A plan whose input
-    exceeds _CHUNK_CELLS letters per sample is refused before any draw.
+    pools the final letters for the density check.  sample_sequence refuses
+    a plan whose input exceeds _CHUNK_CELLS letters before any draw.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -312,9 +312,6 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     stages = plan_parameter_path(p, p_target)
     k = len(stages)
-    if length * 2 ** k > _CHUNK_CELLS:
-        raise ValueError(f"{k} stages draw {length}*2^{k} letters per sample, "
-                         f"over the budget of {_CHUNK_CELLS}")
     window = 3 ** k
     failures = 0
     total = 0

@@ -11,34 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from typing import Iterable
 
 from .core import BinaryWord, WordLike, as_word
 from .exactprob import exact_seen_probability
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    """The pair alpha = 1 - 2^-M, beta = 2^-M for a window size."""
-
-    M: int
-    alpha: Fraction
-    beta: Fraction
-
-    @classmethod
-    def for_window(cls, M: int) -> "AlphaBeta":
-        if M < 1:
-            raise ValueError(f"window M must be >= 1, got {M}")
-        beta = Fraction(1, 2 ** M)
-        return cls(M, 1 - beta, beta)
-
-    def require_two_plus(self) -> "AlphaBeta":
-        # alpha - M*beta > 0 from here on; everything in this module needs it
-        if self.M < 2:
-            raise ValueError(f"window M must be >= 2, got {self.M}")
-        assert self.alpha - self.M * self.beta > 0
-        return self
+def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
+    """The pair alpha = 1 - 2^-M, beta = 2^-M for a window M >= 2, where
+    alpha - M*beta > 0, which everything in this module needs."""
+    if M < 2:
+        raise ValueError(f"window M must be >= 2, got {M}")
+    beta = Fraction(1, 2 ** M)
+    alpha = 1 - beta
+    assert alpha - M * beta > 0
+    return alpha, beta
 
 
 def _check_n(N: int) -> None:
@@ -76,9 +64,8 @@ def vn_pair_recursion(M: int, N: int) -> VnTable:
     v'_n = beta*v_{n-1} + (M-1)*beta*v'_{n-1}
     start k: v_{n,k} = 2^-k * v_{n-1} + (k-1)*2^-k * v'_{n-1}
     """
-    ab = AlphaBeta.for_window(M).require_two_plus()
+    alpha, beta = alpha_beta(M)
     _check_n(N)
-    alpha, beta = ab.alpha, ab.beta
     v = [Fraction(1)]
     vprime = [Fraction(0)]
     rows: list[tuple[Fraction, ...]] = [()]  # empty word has no start
@@ -96,9 +83,8 @@ def vn_pair_recursion(M: int, N: int) -> VnTable:
 def vn_single_recursion(M: int, N: int) -> list[Fraction]:
     """Same v_n by the uncoupled second-order recursion
     v_{n+1} = (alpha + (M-1)*beta)*v_n - beta*(M - 2*alpha)*v_{n-1}."""
-    ab = AlphaBeta.for_window(M).require_two_plus()
+    alpha, beta = alpha_beta(M)
     _check_n(N)
-    alpha, beta = ab.alpha, ab.beta
     v = [Fraction(1), alpha]
     while len(v) < N + 1:
         v.append((alpha + (M - 1) * beta) * v[-1] - beta * (M - 2 * alpha) * v[-2])
@@ -117,29 +103,11 @@ class CharPoly:
     root_large: float
 
 
-# Width at which _bisect_root stops halving its bracket.
-_ROOT_TOL = 1e-12
-
-
-def _bisect_root(b: Fraction, c: Fraction, lo: Fraction, hi: Fraction) -> float:
-    f = lambda x: x * x + b * x + c
-    flo = f(lo)
-    assert flo != 0 and f(hi) != 0 and (flo > 0) != (f(hi) > 0)
-    while float(hi - lo) > _ROOT_TOL:
-        mid = (lo + hi) / 2
-        if (f(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
-
-
 def char_poly(M: int) -> CharPoly:
     """Characteristic polynomial of the single recursion; the sign pattern
     f(0) > 0 > f(M*beta), f(alpha) < 0 < f(1) = 2*beta^2 pins one root below
     M*beta and one in (alpha, 1)."""
-    ab = AlphaBeta.for_window(M).require_two_plus()
-    alpha, beta = ab.alpha, ab.beta
+    alpha, beta = alpha_beta(M)
     b = -(alpha + (M - 1) * beta)
     c = beta * (M - 2 * alpha)
     f = lambda x: x * x + b * x + c
@@ -147,9 +115,9 @@ def char_poly(M: int) -> CharPoly:
     assert f(M * beta) < 0
     assert f(alpha) < 0
     assert f(Fraction(1)) == 2 * beta ** 2 > 0
-    small = _bisect_root(b, c, Fraction(0), M * beta)
-    large = _bisect_root(b, c, alpha, Fraction(1))
-    return CharPoly(M, b, c, small, large)
+    # -b > 0, so the larger root adds two positives; Vieta gives the smaller
+    large = (-float(b) + sqrt(b * b - 4 * c)) / 2
+    return CharPoly(M, b, c, float(c) / large, large)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +127,9 @@ def char_poly(M: int) -> CharPoly:
 def sigma_closed_form(M: int, p: int, j: int) -> Fraction:
     """P(first p spacings all <= M and T_{p+j} > p*M), in closed form:
     beta^p * sum_i sum_l (-1)^(p-i) C(p,i) C(i*M, l), l < p + j."""
-    AlphaBeta.for_window(M).require_two_plus()
+    _, beta = alpha_beta(M)
     if p < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({p}, {j})")
-    beta = Fraction(1, 2 ** M)
     total = 0
     for i in range(p + 1):
         inner = sum(comb(i * M, l) for l in range(p + j))
@@ -181,7 +148,7 @@ def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
     integers: a path to T = t weighs 2^-t, and one that overflows weighs
     2^-(p*M) in total.  Independent of the closed form.
     """
-    AlphaBeta.for_window(M).require_two_plus()
+    alpha_beta(M)  # checks the window
     if p < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({p}, {j})")
     horizon = p * M
@@ -228,12 +195,11 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     both of its series expressions (one in sigma', one in sigma) and the two
     must agree entry by entry.
     """
-    ab = AlphaBeta.for_window(M).require_two_plus()
+    alpha, beta = alpha_beta(M)
     if P < 0 or Q < 0:
         raise ValueError(f"grid bounds must be >= 0, got ({P}, {Q})")
     if max(P, Q) > 40:
         raise ValueError(f"grid bound {max(P, Q)} exceeds the desk-scale budget")
-    alpha, beta = ab.alpha, ab.beta
 
     sigma = [[sigma_closed_form(M, p, j) for j in range(Q + 1)] for p in range(P + 1)]
     sigma_prime = [[alpha ** p - sigma[p][j] for j in range(Q + 1)] for p in range(P + 1)]
@@ -241,13 +207,14 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     u: list[list[Fraction]] = []
     w: list[list[Fraction]] = []
     for p in range(P + 1):
+        # alpha^(p+q) + beta*sum_j alpha^(q-j) sigma'_{p,j} and
+        # w = sum_j alpha^(q-j) sigma_{p,j} over j = 1..q, one step in q at a time
+        from_prime, w_val = alpha ** p, Fraction(0)
         u_row, w_row = [], []
         for q in range(Q + 1):
-            from_prime = alpha ** (p + q) + beta * sum(
-                (alpha ** (q - j) * sigma_prime[p][j] for j in range(1, q + 1)),
-                Fraction(0))
-            w_val = sum((alpha ** (q - j) * sigma[p][j] for j in range(1, q + 1)),
-                        Fraction(0))
+            if q:
+                from_prime = alpha * from_prime + beta * sigma_prime[p][q]
+                w_val = alpha * w_val + sigma[p][q]
             from_sigma = alpha ** p - beta * w_val
             if from_prime != from_sigma:
                 raise AssertionError(
@@ -267,8 +234,7 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
 def delta_operator(M: int, grid, p: int, q: int) -> Fraction:
     """The mixed difference f_{p+1,q+1} - M*beta*f_{p,q+1}
     - (alpha-beta)*f_{p+1,q} + beta*(M-2*alpha)*f_{p,q} on any grid."""
-    ab = AlphaBeta.for_window(M).require_two_plus()
-    alpha, beta = ab.alpha, ab.beta
+    alpha, beta = alpha_beta(M)
     if p < 0 or q < 0 or p + 1 >= len(grid) or q + 1 >= len(grid[p + 1]):
         raise ValueError(f"grid too small for the difference at ({p}, {q})")
     return (grid[p + 1][q + 1] - M * beta * grid[p][q + 1]
@@ -298,8 +264,7 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def pq_polynomials(M: int) -> PolyPQ:
     """P(x) = (1+x)^M [1-(alpha-beta)x] - 1 - (M+beta-alpha)x + x^2(M-2alpha)
     and its cofactor Q, with the structural identities asserted."""
-    ab = AlphaBeta.for_window(M).require_two_plus()
-    alpha, beta = ab.alpha, ab.beta
+    alpha, beta = alpha_beta(M)
     binom = [Fraction(comb(M, k)) for k in range(M + 1)]
     p_coeffs = _poly_mul(binom, [Fraction(1), -(alpha - beta)])
     p_coeffs[0] -= 1
@@ -331,10 +296,9 @@ def pq_polynomials(M: int) -> PolyPQ:
 def sigma_generating_identity(M: int, p: int, order: int) -> bool:
     """Compare (1-x) * sum_j sigma_{p,j} x^(j-1) with
     beta^p x^-p [(1+x)^M - 1]^p coefficient by coefficient up to the order."""
-    AlphaBeta.for_window(M).require_two_plus()
+    _, beta = alpha_beta(M)
     if p < 0 or order < 0:
         raise ValueError(f"indices must be >= 0, got p={p}, order={order}")
-    beta = Fraction(1, 2 ** M)
 
     base = [Fraction(comb(M, k)) for k in range(M + 1)]
     base[0] -= 1  # (1+x)^M - 1

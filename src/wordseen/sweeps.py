@@ -42,7 +42,7 @@ from .montecarlo import (
     sample_sequence,
 )
 from .recursions import (
-    AlphaBeta,
+    alpha_beta,
     char_poly,
     delta_operator,
     pq_polynomials,
@@ -122,7 +122,7 @@ def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
 def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
     res = SweepResult(f"two-block chain M in (2, 3, 4, 5), p+q <= {total_max}")
     for M in (2, 3, 4, 5):
-        ab = AlphaBeta.for_window(M)
+        _, beta = alpha_beta(M)
         try:
             table = u_table(M, total_max, total_max)
             for p, j in product(range(total_max + 1), repeat=2):
@@ -152,7 +152,7 @@ def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
         for p in range(total_max):
             for q in range(total_max + 1):
                 lhs = table.delta[p + 1][q]
-                rhs = M * ab.beta * table.delta[p][q]
+                rhs = M * beta * table.delta[p][q]
                 if lhs < rhs:
                     res.fail(f"M={M}, p={p}, q={q}: delta step "
                              f"{lhs} < M*beta*{table.delta[p][q]}")
@@ -177,7 +177,7 @@ def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
     # planned up front, so an n_max over the prefix budget fails before any scan
     blocks = {(M, n): _prefix_blocks(n * M) for M in (2, 3) for n in range(1, n_max + 1)}
     for M in (2, 3):
-        ab = AlphaBeta.for_window(M)
+        alpha, _ = alpha_beta(M)
         vs = vn_single_recursion(M, n_max)
         for n in range(1, n_max + 1):
             hits = np.zeros((2, 2), dtype=np.int64)  # [first letter, constant/alternating]
@@ -206,7 +206,7 @@ def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
                     # small spacings see every word
                     if (constant_seen_by_spacings(T[:, :n], M) & ~seen).any():
                         res.fail(f"{tag}: small spacings yet unseen")
-            if Fraction(int(hits[1, 0]), 1 << n * M) != ab.alpha ** n:
+            if Fraction(int(hits[1, 0]), 1 << n * M) != alpha ** n:
                 res.fail(f"M={M}, n={n}: constant count != alpha^n")
             if Fraction(int(hits[1, 1]), 1 << n * M) != vs[n]:
                 res.fail(f"M={M}, n={n}: alternating count != v_n")
@@ -289,9 +289,9 @@ def sweep_polynomial_certificates() -> SweepResult:
         if bad:
             res.fail(f"M={M}: negative cofactor coefficients at {bad}")
     for M in (2, 3, 4, 5):
-        ab = AlphaBeta.for_window(M)
+        alpha, beta = alpha_beta(M)
         table = u_table(M, grid + 1, grid + 1)
-        powers = [[ab.alpha ** p for _ in range(grid + 2)] for p in range(grid + 2)]
+        powers = [[alpha ** p for _ in range(grid + 2)] for p in range(grid + 2)]
         for p in range(grid + 1):
             for q in range(grid + 1):
                 if delta_operator(M, powers, p, q) != 0:
@@ -302,7 +302,7 @@ def sweep_polynomial_certificates() -> SweepResult:
                     res.fail(f"M={M}, p={p}, q={q}: u difference {du} positive")
                 if dw < 0:
                     res.fail(f"M={M}, p={p}, q={q}: w difference {dw} negative")
-                if du != -ab.beta * dw:
+                if du != -beta * dw:
                     res.fail(f"M={M}, p={p}, q={q}: u and w differences not "
                              f"proportional")
     for M in range(2, 5):

@@ -12,7 +12,7 @@ import pytest
 
 from wordseen.core import BinaryWord
 from wordseen.exactprob import exact_seen_probability
-from wordseen.recursions import AlphaBeta, vn_pair_recursion, vn_single_recursion
+from wordseen.recursions import alpha_beta, vn_pair_recursion, vn_single_recursion
 from wordseen import sweeps
 
 
@@ -48,7 +48,7 @@ def test_engine_reproduces_recursion_values(verdict):
     start = time.monotonic()
     for M in (2, 3, 4):
         table = vn_pair_recursion(M, 12)
-        alpha = AlphaBeta.for_window(M).alpha
+        alpha, _ = alpha_beta(M)
         for n in range(13):
             alt = exact_seen_probability(BinaryWord.alternating(1, n), M)
             assert alt == table.v[n], f"M={M}, n={n}: engine != v_n"

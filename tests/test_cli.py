@@ -90,6 +90,13 @@ def test_exact_word_families(capsys):
     assert out.strip().splitlines()[1].split(",")[4] == "0.999752753228"
 
 
+def test_exact_prints_values_over_the_digit_limit(capsys):
+    # 1 - 2^-15000: the numerator has 4516 digits, over Python's default 4300
+    code, out = run(capsys, "exact", "--constant", "1", "--M", "15000")
+    assert code == 0
+    assert len(out.splitlines()[1].split(",")[3].split("/")[0]) == 4516
+
+
 def test_exact_usage_errors():
     assert run_error("exact", "--word", "1102", "--M", "2") == 2
     assert run_error("exact", "--word", "11", "--constant", "2", "--M", "2") == 2
@@ -157,7 +164,8 @@ def test_couple(capsys):
     assert lines[-1].startswith("summary,3,0,")
     # 30 stages would draw 32*2^30 letters per sample; refused before any draw
     assert run_error("couple", "--p-x", "1/1000000000", "--p-y", "1/2") == 2
-    assert "letters per sample" in capsys.readouterr().err
+    assert ("a prefix of 34359738368 letters is over the budget of 4194304"
+            in capsys.readouterr().err)
     # 1 - (1 - 1e-20)^2 rounds to 0: the first stage's interval is empty
     assert run_error("couple", "--p-x", "1/100000000000000000000", "--p-y", "1/2") == 2
     assert "is empty in floats" in capsys.readouterr().err

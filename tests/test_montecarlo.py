@@ -240,9 +240,11 @@ def test_chain_demo_letter_budget(monkeypatch):
                                rng=RngConfig(1)).window == 3 ** 5
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 32 * 2 ** 5 - 1)
 
-    def no_draw(*args):
-        raise AssertionError("drew a sample over the budget")
+    class NoDraw:
+        def random(self, *args):
+            raise AssertionError("drew a sample over the budget")
 
-    monkeypatch.setattr(montecarlo, "sample_sequence", no_draw)
-    with pytest.raises(ValueError, match="letters per sample"):
+    monkeypatch.setattr(RngConfig, "stream", lambda self, *key: NoDraw())
+    with pytest.raises(ValueError,
+                       match="^a prefix of 1024 letters is over the budget of 1023$"):
         coupling_chain_demo(0.9, 0.1, length=32, samples=2, rng=RngConfig(1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from wordseen import exactprob, recursions, sweeps
 from wordseen.core import BinaryWord
 from wordseen.exactprob import exact_seen_probability
 from wordseen.recursions import (
-    AlphaBeta,
+    alpha_beta,
     char_poly,
     delta_operator,
     pq_polynomials,
@@ -22,11 +23,10 @@ from wordseen.recursions import (
 
 
 def test_alpha_beta():
-    ab = AlphaBeta.for_window(2)
-    assert (ab.alpha, ab.beta) == (Fraction(3, 4), Fraction(1, 4))
-    assert AlphaBeta.for_window(5).beta == Fraction(1, 32)
+    assert alpha_beta(2) == (Fraction(3, 4), Fraction(1, 4))
+    assert alpha_beta(5)[1] == Fraction(1, 32)
     with pytest.raises(ValueError):
-        AlphaBeta.for_window(0)
+        alpha_beta(0)
 
 
 def test_pair_recursion_first_values():
@@ -71,13 +71,29 @@ def test_char_poly_roots():
     # f(1) = 2 beta^2 exactly
     for M in (2, 3, 4, 5):
         cp = char_poly(M)
-        beta = AlphaBeta.for_window(M).beta
+        _, beta = alpha_beta(M)
         assert 1 + cp.b + cp.c == 2 * beta ** 2
 
 
 def test_ratio_converges_to_larger_root():
     t = vn_pair_recursion(2, 40)
     assert abs(float(t.ratio(39)) - char_poly(2).root_large) < 1e-12
+
+
+@pytest.mark.parametrize("M", range(2, 13))
+def test_larger_root_is_the_ratio_limit(M):
+    # the smaller root's share of v_n has decayed by (M*beta)^60 at n = 60
+    t = vn_pair_recursion(M, 61)
+    assert abs(float(t.ratio(60)) - char_poly(M).root_large) < 1e-14
+
+
+@pytest.mark.parametrize("M", range(2, 41))
+def test_smaller_root_brackets_a_sign_change(M):
+    cp = char_poly(M)
+    f = lambda x: x * x + cp.b * x + cp.c
+    step = 4 * math.ulp(cp.root_small)
+    lo, hi = Fraction(cp.root_small - step), Fraction(cp.root_small + step)
+    assert f(lo) > 0 > f(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +106,7 @@ def test_sigma_hand_values():
     got, comp = sigma_oracle(2, 1, 1)
     assert got == Fraction(1, 2)
     # the two events partition the all-spacings-small event
-    assert got + comp == AlphaBeta.for_window(2).alpha
+    assert got + comp == alpha_beta(2)[0]
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])
@@ -113,6 +129,16 @@ def test_u_table_sandwich_small():
     assert t.u[2][2] == Fraction(25, 64)
 
 
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_u_table_equals_the_defining_sums(M):
+    alpha, beta = alpha_beta(M)
+    t = u_table(M, 8, 8)
+    for p, q in itertools.product(range(9), repeat=2):
+        w = sum(alpha ** (q - j) * sigma_closed_form(M, p, j) for j in range(1, q + 1))
+        assert t.w[p][q] == w
+        assert t.u[p][q] == alpha ** p - beta * w
+
+
 def test_u_oracle_crosscheck():
     t = u_table(3, 4, 4)
     for p, j in itertools.product(range(5), repeat=2):
@@ -122,7 +148,7 @@ def test_u_oracle_crosscheck():
 
 def test_delta_operator_kills_alpha_powers():
     for M in (2, 3, 5):
-        alpha = AlphaBeta.for_window(M).alpha
+        alpha, _ = alpha_beta(M)
         grid = [[alpha ** p] * 6 for p in range(6)]
         for p in range(4):
             for q in range(4):
