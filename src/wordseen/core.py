@@ -14,6 +14,8 @@ prefixes from _prefix_blocks, under one bit budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -164,20 +166,49 @@ class Embedding:
 # the seen decision
 # ---------------------------------------------------------------------------
 
-def _advance(members: frozenset[tuple[int, int]], letter: int, letters: Bits,
-             M: int, origin_cap: int) -> frozenset[tuple[int, int]]:
-    # member (k, d): the length-k prefix can end d letters back; d < cap keeps
-    # it attachable (gap d+1 <= cap for the next letter).  Only the youngest
-    # age per k is kept: an older end can do nothing a younger one cannot.
+def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], list[int]]:
+    """_step's tables for one word: match[c] has bit k (1 <= k <= n) where
+    w_k = c, and dominated[k2] has bit k < k2 where w[k2:] is a prefix of
+    w[k:], so the rest of the word from k2 embeds wherever that from k does."""
     n = len(letters)
-    ages: dict[int, int] = {}
-    for k, d in members:
-        cap = origin_cap if k == 0 else M
-        if d + 1 < min(cap, ages.get(k, cap)):
-            ages[k] = d + 1
-        if k < n and letters[k] == letter:
-            ages[k + 1] = 0
-    return frozenset(ages.items())
+    word = sum(c << j for j, c in enumerate(letters))  # bit j = w[j]
+    # that is, shift s = k2 - k has no mismatch w[j] != w[j + s] at j >= k:
+    # s joins, as bit n - s, from k2 = s + 1 + its last mismatch on
+    joins = [0] * (n + 1)
+    for s in range(1, n + 1):
+        joins[s + ((word ^ (word >> s)) & ((1 << (n - s)) - 1)).bit_length()] |= 1 << (n - s)
+    dominated = [x >> (n - k2) for k2, x in enumerate(accumulate(joins, or_))]
+    return (((1 << (n + 1)) - 2) & ~(word << 1), word << 1), dominated
+
+
+def _step(state: tuple, letter: int, match: tuple[int, int], dominated: list[int],
+          M: int) -> tuple:
+    """One letter of the frontier behind the exact automaton.  A state lists
+    (d, mask) groups, ages ascending, masks nonzero: bit k of mask says the
+    length-k prefix has its youngest end d letters back, with slack M - d
+    for its next gap (a capped origin starts at age M - cap).  Every member
+    attaches the letter, giving the new age-0 group; the older groups age by
+    one, dropping ages >= M.  Walking from the youngest group, a k already
+    kept goes, and so does (k, d) when some (k2, d2) with d2 <= d dominates
+    it; one pass suffices by transitivity.  Bit n is left alone in the
+    youngest group when the word is seen, and () means it never will be."""
+    union = 0
+    for _, mask in state:
+        union |= mask
+    out, gone = [], 0
+    for d, mask in ((-1, (union << 1) & match[letter]), *state):
+        d += 1
+        if d >= M:
+            break
+        bits = mask = mask & ~gone
+        while bits:
+            k = bits.bit_length() - 1
+            gone |= dominated[k]
+            bits &= ~(gone | 1 << k)
+        if mask := mask & ~gone:
+            out.append((d, mask))
+            gone |= mask  # an older group keeps none of these k
+    return tuple(out)
 
 
 def _pack(y: np.ndarray) -> int:

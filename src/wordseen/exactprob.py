@@ -1,10 +1,11 @@
 """Exact seen probabilities via a determinized reachability automaton.
 
-The streaming frontier of core (sets of (prefix-length, age) pairs) takes
-finitely many values, so the seen event is a finite automaton over sequence
-letters.  Subset states are discovered by worklist search, ACCEPT and DEAD
-absorb, and the probability is read off by counting weighted letter paths
-into ACCEPT in integers over n*M steps.
+The streaming frontier of core._step (the youngest age of each prefix length
+that can still be completed, pruned to the members no other member dominates)
+takes finitely many values, so the seen event is a finite automaton over
+sequence letters.  Subset states are discovered by worklist search, ACCEPT
+and DEAD absorb, and the rest of the automaton is acyclic, so one backward
+pass in integers values every state once.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .core import (BinaryWord, WordLike, _advance, _check_window, _prefix_blocks,
-                   as_word, batch_seen)
+from .core import (BinaryWord, WordLike, _check_window, _frontier_tables, _prefix_blocks,
+                   _step, as_word, batch_seen)
 
 Rational = Union[Fraction, int, str]
 
@@ -32,11 +33,6 @@ _STATE_CAP = 10 ** 6
 _WORD_BITS = 20
 
 
-def _check_word_bits(n: int) -> None:
-    if n > _WORD_BITS:
-        raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
-
-
 class StateCapExceeded(RuntimeError):
     """Raised when subset-state discovery outgrows _STATE_CAP."""
 
@@ -47,21 +43,15 @@ def _check_prob(p: Fraction) -> Fraction:
     return p
 
 
-def _normalize(members: frozenset[tuple[int, int]], n: int):
-    if any(k == n for k, _ in members):
-        return ACCEPT
-    if not members:
-        return DEAD
-    return members
-
-
 @dataclass(frozen=True)
 class ProbAutomaton:
     """Determinized seen automaton for one word and window.
 
-    states[i] is either a frozenset of (k, age) pairs or one of the
-    absorbing sentinels ACCEPT / DEAD; transitions[i] = (on0, on1) as state
-    indices.  State 0 is the start state.
+    states[i] is either a frontier of core._step, pruned to the members no
+    other member dominates, or one of the absorbing sentinels ACCEPT / DEAD;
+    transitions[i] = (on0, on1) as state indices.  State 0 is the start
+    state.  Every embedding ends by letter n*M, so apart from the sentinels'
+    self-loops the automaton is acyclic.
     """
 
     word: BinaryWord
@@ -74,29 +64,44 @@ class ProbAutomaton:
         return len(self.states)
 
     def seen_probability(self, p: Rational) -> Fraction:
-        """Count the letter paths of length n*M that end in ACCEPT, weighing
-        each letter (b - a, a) at p = a/b, and divide once by b^(n*M)."""
+        """Value every state once, in post-order from the start: at p = a/b a
+        state is worth A / b^e, where ACCEPT is (1, 0), DEAD is (0, 0) and a
+        state with letter weights (b - a, a) into (A0, e0) and (A1, e1) has
+        e = 1 + max(e0, e1) and A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1).
+        A state met again while still open closes a cycle and raises."""
         prob = _check_prob(Fraction(p))
         b = prob.denominator
         w0, w1 = b - prob.numerator, prob.numerator
-        steps = self.word.n * self.M
-        live = {0: 1}
-        for _ in range(steps):
-            nxt: dict[int, int] = {}
-            for i, count in live.items():
-                on0, on1 = self.transitions[i]
-                nxt[on0] = nxt.get(on0, 0) + count * w0
-                nxt[on1] = nxt.get(on1, 0) + count * w1
-            live = nxt
-        accepted = sum(count for i, count in live.items() if self.states[i] == ACCEPT)
-        return Fraction(accepted, b ** steps)
+        value = [(1, 0) if s == ACCEPT else (0, 0) if s == DEAD else None
+                 for s in self.states]
+        opened = [False] * self.size
+        powers, stack = [1], [0]  # powers[k] = b^k
+        while stack:
+            i = stack.pop()
+            if value[i] is not None:
+                continue
+            on0, on1 = self.transitions[i]
+            if value[on0] is None or value[on1] is None:
+                if opened[i]:
+                    raise ValueError(f"automaton has a cycle through state {i}")
+                opened[i] = True
+                stack += [i] + [j for j in (on0, on1) if value[j] is None]
+                continue
+            (A0, e0), (A1, e1) = value[on0], value[on1]
+            e = 1 + max(e0, e1)
+            if len(powers) < e:
+                powers.append(powers[-1] * b)
+            value[i] = (w0 * A0 * powers[e - 1 - e0] + w1 * A1 * powers[e - 1 - e1], e)
+        A, e = value[0]
+        return Fraction(A, b ** e)
 
 
 def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> ProbAutomaton:
-    """Worklist subset construction from the initial frontier {(0, 0)}.
+    """Worklist subset construction over core._step, from the origin alone.
 
     first_gap, if given, caps the first embedding position at that value
-    instead of M (used to split on where the leftmost embedding starts).
+    instead of M (used to split on where the leftmost embedding starts): the
+    origin starts at age M - first_gap, so its slack is first_gap.
     """
     w = as_word(word)
     _check_window(M)
@@ -104,34 +109,27 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
     if not 1 <= origin_cap <= M:
         raise ValueError(f"first gap cap must be in [1, {M}], got {origin_cap}")
     n = w.n
-    start = _normalize(frozenset({(0, 0)}), n)
-    states = [start]
-    index = {start: 0}
-    transitions: list[tuple[int, int] | None] = [None]
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        state = states[i]
-        if state in (ACCEPT, DEAD):
-            transitions[i] = (i, i)
-            continue
-        row = []
-        for letter in (0, 1):
-            nxt = _normalize(_advance(state, letter, w.letters, M, origin_cap), n)
-            j = index.get(nxt)
-            if j is None:
-                j = len(states)
-                if j >= _STATE_CAP:
-                    raise StateCapExceeded(
-                        f"automaton for word of length {n}, M={M} exceeded "
-                        f"{_STATE_CAP} states")
-                index[nxt] = j
-                states.append(nxt)
-                transitions.append(None)
-                queue.append(j)
-            row.append(j)
-        transitions[i] = (row[0], row[1])
-    return ProbAutomaton(w, M, tuple(states), tuple(transitions))  # type: ignore[arg-type]
+    match, dominated = _frontier_tables(w.letters)
+    states: list = []
+    index: dict = {}
+
+    def number(state) -> int:
+        # _step leaves bit n alone in the youngest group: the word is seen
+        state = ACCEPT if state and state[0][1] >> n else state or DEAD
+        i = index.setdefault(state, len(states))
+        if i == len(states):
+            if i >= _STATE_CAP:
+                raise StateCapExceeded(f"automaton for word of length {n}, M={M} "
+                                       f"exceeded {_STATE_CAP} states")
+            states.append(state)
+        return i
+
+    number(((M - origin_cap, 1),))
+    transitions = []
+    for i, state in enumerate(states):  # states grows as the loop finds them
+        transitions.append((i, i) if state in (ACCEPT, DEAD) else tuple(
+            number(_step(state, c, match, dominated, M)) for c in (0, 1)))
+    return ProbAutomaton(w, M, tuple(states), tuple(transitions))
 
 
 def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
@@ -168,6 +166,27 @@ class MaxWordResult:
     probability: Fraction
 
 
+def _word_values(n: int, M: int) -> Iterator[tuple[BinaryWord, Fraction]]:
+    """Each word of length n, in lex order, with its exact seen probability
+    at p = 1/2.  An n over the word budget is refused before any word."""
+    if n < 0:
+        raise ValueError(f"word length must be >= 0, got {n}")
+    if n > _WORD_BITS:
+        raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
+    return ((w, exact_seen_probability(w, M))
+            for w in map(BinaryWord, product((0, 1), repeat=n)))
+
+
+def _argmax(values: Iterable[tuple[BinaryWord, Fraction]]) -> MaxWordResult:
+    best, winners = None, []
+    for w, value in values:
+        if best is None or value > best:
+            best, winners = value, [w]
+        elif value == best:
+            winners.append(w)
+    return MaxWordResult(tuple(winners), best)
+
+
 def max_word_probability(n: int, M: int) -> MaxWordResult:
     """Maximize the exact seen probability at p = 1/2 over all words of
     length n, swept in lex order.
@@ -175,18 +194,4 @@ def max_word_probability(n: int, M: int) -> MaxWordResult:
     Ties are real (complementation preserves the probability at p = 1/2),
     so every maximizer is reported.
     """
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
-    _check_word_bits(n)
-    best: Fraction | None = None
-    winners: list[BinaryWord] = []
-    for letters in product((0, 1), repeat=n):
-        w = BinaryWord(letters)
-        value = exact_seen_probability(w, M)
-        if best is None or value > best:
-            best = value
-            winners = [w]
-        elif value == best:
-            winners.append(w)
-    assert best is not None
-    return MaxWordResult(tuple(winners), best)
+    return _argmax(_word_values(n, M))

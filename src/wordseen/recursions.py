@@ -124,17 +124,23 @@ def char_poly(M: int) -> CharPoly:
 # two-block machinery: sigma, u, w, delta
 # ---------------------------------------------------------------------------
 
+def _sigma_row(M: int, p: int, J: int) -> list[Fraction]:
+    """sigma_closed_form(M, p, j) for j = 0..J, its inner sums running in j."""
+    _, beta = alpha_beta(M)
+    if p < 0 or J < 0:
+        raise ValueError(f"indices must be >= 0, got ({p}, {J})")
+    inner = [sum(comb(i * M, l) for l in range(p)) for i in range(p + 1)]
+    row = []
+    for j in range(J + 1):
+        row.append(beta ** p * sum((-1) ** (p - i) * comb(p, i) * s for i, s in enumerate(inner)))
+        inner = [s + comb(i * M, p + j) for i, s in enumerate(inner)]
+    return row
+
+
 def sigma_closed_form(M: int, p: int, j: int) -> Fraction:
     """P(first p spacings all <= M and T_{p+j} > p*M), in closed form:
     beta^p * sum_i sum_l (-1)^(p-i) C(p,i) C(i*M, l), l < p + j."""
-    _, beta = alpha_beta(M)
-    if p < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({p}, {j})")
-    total = 0
-    for i in range(p + 1):
-        inner = sum(comb(i * M, l) for l in range(p + j))
-        total += (-1) ** (p - i) * comb(p, i) * inner
-    return beta ** p * total
+    return _sigma_row(M, p, j)[j]
 
 
 def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
@@ -201,7 +207,7 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     if max(P, Q) > 40:
         raise ValueError(f"grid bound {max(P, Q)} exceeds the desk-scale budget")
 
-    sigma = [[sigma_closed_form(M, p, j) for j in range(Q + 1)] for p in range(P + 1)]
+    sigma = [_sigma_row(M, p, Q) for p in range(P + 1)]
     sigma_prime = [[alpha ** p - sigma[p][j] for j in range(Q + 1)] for p in range(P + 1)]
 
     u: list[list[Fraction]] = []
@@ -308,7 +314,7 @@ def sigma_generating_identity(M: int, p: int, order: int) -> bool:
     assert all(c == 0 for c in power[:p])  # divisible by x^p
     rhs = [beta ** p * c for c in power[p:]]
 
-    sig = [sigma_closed_form(M, p, j) for j in range(order + 2)]
+    sig = _sigma_row(M, p, order + 1)
     for t in range(order + 1):
         lhs = sig[1] if t == 0 else sig[t + 1] - sig[t]
         rhs_t = rhs[t] if t < len(rhs) else Fraction(0)
@@ -332,13 +338,20 @@ def verify_suffix_bounds_m2(words: Iterable[WordLike]) -> list[BinaryWord]:
     bound; together these force P(u) <= v_|u|.  Each distinct word is
     computed once, against one v_n table.
     """
+    return _broken_suffixes(words, {})
+
+
+def _broken_suffixes(words: Iterable[WordLike],
+                     known: dict[BinaryWord, Fraction]) -> list[BinaryWord]:
+    """verify_suffix_bounds_m2, taking P(u) from known where the caller has
+    already computed it."""
     M = 2
     rows = {w.suffix(m) for w in map(as_word, words) for m in range(1, w.n + 1)}
     vtab = vn_pair_recursion(M, max((u.n for u in rows), default=0))
     P = {BinaryWord(()): Fraction(1)}
     P1 = {}
     for u in rows:
-        P[u] = exact_seen_probability(u, M)
+        P[u] = known.get(u) or exact_seen_probability(u, M)
         P1[u] = exact_seen_probability(u, M, first_gap=1)
 
     def holds(u: BinaryWord) -> bool:

@@ -21,7 +21,7 @@ from .core import (
     is_m_seen,
     s_sequence,
 )
-from .exactprob import _check_word_bits, exact_seen_probability, max_word_probability
+from .exactprob import _argmax, _word_values, exact_seen_probability
 from .moments import (
     embedding_count_moments,
     expected_embeddings,
@@ -42,6 +42,7 @@ from .montecarlo import (
     sample_sequence,
 )
 from .recursions import (
+    _broken_suffixes,
     alpha_beta,
     char_poly,
     delta_operator,
@@ -49,7 +50,6 @@ from .recursions import (
     sigma_generating_identity,
     sigma_oracle,
     u_table,
-    verify_suffix_bounds_m2,
     vn_pair_recursion,
     vn_single_recursion,
 )
@@ -77,11 +77,16 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
-    _check_word_bits(n_max)  # before the first sweep, not after all smaller ones
+    # planned up front, so an n_max over the word budget fails before any sweep
+    plans = [_word_values(n, M) for n in range(1, n_max + 1)]
     res = SweepResult(f"max-word sweep M={M}, n <= {n_max}")
     vtab = vn_pair_recursion(M, n_max + 1)
-    for n in range(1, n_max + 1):
-        out = max_word_probability(n, M)
+    known = {}  # at M = 2, P(u) of every word the suffix check below reads
+    for n, values in enumerate(plans, 1):
+        if M == 2 and n <= 6:
+            values = list(values)
+            known.update(values)
+        out = _argmax(values)
         alt = {BinaryWord.alternating(1, n), BinaryWord.alternating(0, n)}
         if M == 2:
             if out.probability != vtab.v[n]:
@@ -108,7 +113,7 @@ def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
         words = [BinaryWord(letters) for n in range(1, 7)
                  for letters in product((0, 1), repeat=n)]
         words += [BinaryWord.alternating(1, n) for n in range(7, n_max + 1)]
-        for word in verify_suffix_bounds_m2(words):
+        for word in _broken_suffixes(words, known):
             res.fail(f"suffix bounds break for word {word}")
         res.note(f"max = v_n with alternating maximizers for all n <= {n_max}; "
                  f"start-position bounds hold")

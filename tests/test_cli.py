@@ -194,7 +194,7 @@ def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
     assert run_error("verify", "thm3", "--n", "8") == 2
     # thm1a sweeps 2^n words for each n <= --n: n = 21 is over the word
     # budget and is refused before the sweeps for n <= 20 run
-    monkeypatch.setattr(sweeps, "max_word_probability", unreachable)
+    monkeypatch.setattr(sweeps, "_argmax", unreachable)
     start = time.perf_counter()
     assert run_error("verify", "thm1a", "--n", "21") == 2
     assert time.perf_counter() - start < 1.0

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from wordseen.core import (
     BinaryWord,
     Embedding,
-    _advance,
+    _frontier_tables,
     _pack,
     _prefix_blocks,
+    _step,
     alternating_seen_by_spacings,
     as_prefix,
     constant_seen_by_spacings,
@@ -187,32 +188,53 @@ def test_packed_matches_scalar_exhaustively(M):
 
 
 def test_frontier_walkthrough():
-    """The automaton step: members (k, age) of embeddable prefixes."""
-    start = frozenset({(0, 0)})
-    f = _advance(start, 0, (1, 1), 2, 2)
-    assert f == {(0, 1)}
-    f = _advance(f, 1, (1, 1), 2, 2)     # hit at position 2
-    assert f == {(1, 0)}
-    f = _advance(f, 1, (1, 1), 2, 2)
-    assert (2, 0) in f                   # the whole word is embedded
-    assert not _advance(start, 0, (1, 1), 1, 1)
+    """The automaton step: (age, mask) groups of embeddable prefix lengths."""
+    match, dominated = _frontier_tables((1, 1))
+    start = ((0, 0b1),)                       # the origin, slack M
+    f = _step(start, 0, match, dominated, 2)
+    assert f == ((1, 0b1),)                   # the origin, one letter older
+    f = _step(f, 1, match, dominated, 2)      # hit at position 2
+    assert f == ((0, 0b10),)
+    f = _step(f, 1, match, dominated, 2)
+    assert f == ((0, 0b100),)                 # the whole word is embedded
+    assert _step(start, 0, match, dominated, 1) == ()
+    # a hit at position 1 dominates the origin: w[1:] = 1 is a prefix of
+    # w[0:] = 11, and the hit is younger
+    assert _step(start, 1, match, dominated, 2) == ((0, 0b10),)
+    # an origin capped at gap 1 starts at age M - 1 and dies after one miss
+    assert _step(((1, 0b1),), 0, match, dominated, 2) == ()
+
+
+def test_dominated_matches_its_definition():
+    for n in range(9):
+        for letters in itertools.product((0, 1), repeat=n):
+            match, dominated = _frontier_tables(letters)
+            assert match[1] == sum(1 << k for k in range(1, n + 1) if letters[k - 1])
+            assert match[0] | match[1] == (1 << (n + 1)) - 2
+            assert dominated == [
+                sum(1 << k for k in range(k2) if letters[k2:] == letters[k:k + n - k2])
+                for k2 in range(n + 1)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=6), windows, st.data())
-def test_advance_antichain_decides_seen(letters, M, data):
-    """_advance keeps one age per prefix length, and streaming n*M letters
+def test_step_antichain_decides_seen(letters, M, data):
+    """_step keeps one age per prefix length, and streaming n*M letters
     through it reaches a full-word member exactly when seen_packed says seen."""
     letters = tuple(letters)
     n = len(letters)
     y = data.draw(st.lists(st.integers(0, 1), min_size=n * M, max_size=n * M))
-    members = frozenset({(0, 0)})
+    match, dominated = _frontier_tables(letters)
+    state = ((0, 1),)
     accepted = False
     for letter in y:
-        members = _advance(members, letter, letters, M, M)
-        ks = [k for k, _ in members]
+        state = _step(state, letter, match, dominated, M)
+        ages = [d for d, _ in state]
+        assert ages == sorted(set(ages)) and all(d < M for d in ages)
+        ks = [k for _, mask in state for k in range(n + 1) if mask >> k & 1]
         assert len(ks) == len(set(ks))
         if n in ks:
+            assert state == ((0, 1 << n),)
             accepted = True
             break
     assert accepted == seen_packed(letters, pack(y), n * M, M)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from wordseen.core import BinaryWord
 from wordseen.exactprob import (
     ACCEPT,
     DEAD,
+    ProbAutomaton,
     StateCapExceeded,
     build_automaton,
     exact_seen_probability,
@@ -128,6 +131,53 @@ def test_automaton_absorbing_states():
         i = auto.states.index(sentinel)
         assert auto.transitions[i] == (i, i)
     assert auto.states[0] != ACCEPT and auto.states[0] != DEAD
+
+
+def test_exact_values_pinned():
+    """One sha256 over every exact value for n <= 6, M <= 4, every first_gap
+    and three biases, recorded with the unpruned frontier and the forward
+    path-counting DP: the pruned automaton must reproduce them bit for bit."""
+    lines = []
+    for n in range(7):
+        for letters in itertools.product((0, 1), repeat=n):
+            w = "".join(map(str, letters))
+            for M in range(1, 5):
+                for gap in [None, *range(1, M + 1)]:
+                    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 5)):
+                        value = exact_seen_probability(w, M, p, first_gap=gap)
+                        lines.append(f"{w} {M} {gap} {p} {value}\n")
+    assert len(lines) == 5334
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "66cae39d521891ffca346fcaa06eadf8ce7569044a36f64e29bc397fdef10319")
+
+
+@pytest.mark.parametrize("word, M, size", [
+    (BinaryWord.alternating(1, 32), 8, 475),
+    (BinaryWord.from_string("10" * 11), 12, 497),
+    (BinaryWord.constant(1, 1), 15000, 15002),
+])
+def test_pruned_automaton_sizes(word, M, size):
+    """Dominance pruning keeps these automata small (22,458 and 24,917
+    states for the first two without it), and the constant word at a very
+    wide window builds and values in well under a second."""
+    start = time.perf_counter()
+    auto = build_automaton(word, M)
+    auto.seen_probability(Fraction(1, 2))
+    assert auto.size == size
+    assert time.perf_counter() - start < 1
+
+
+def test_long_alternating_word_equals_recursion():
+    assert exact_seen_probability(BinaryWord.alternating(1, 128), 8) == (
+        vn_single_recursion(8, 128)[128])
+
+
+def test_backward_pass_refuses_a_cycle():
+    states = ("a", "b", ACCEPT, DEAD)
+    transitions = ((1, 2), (0, 3), (2, 2), (3, 3))
+    auto = ProbAutomaton(BinaryWord.from_string("1"), 2, states, transitions)
+    with pytest.raises(ValueError, match="cycle"):
+        auto.seen_probability(Fraction(1, 2))
 
 
 def test_state_cap(monkeypatch):

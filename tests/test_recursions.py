@@ -116,6 +116,20 @@ def test_sigma_closed_form_vs_oracle(M):
             assert sigma_closed_form(M, p, j) == sigma_oracle(M, p, j)[0]
 
 
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_sigma_running_sums_equal_the_double_sum(M):
+    """u_table's rows and sigma_closed_form keep the inner sums running in j;
+    they equal the double sum of the docstring, summed afresh for each j."""
+    beta = alpha_beta(M)[1]
+    table = u_table(M, 8, 8)
+    for p in range(9):
+        for j in range(9):
+            fresh = beta ** p * sum(
+                (-1) ** (p - i) * math.comb(p, i) * sum(math.comb(i * M, l) for l in range(p + j))
+                for i in range(p + 1))
+            assert table.sigma[p][j] == sigma_closed_form(M, p, j) == fresh
+
+
 def test_u_table_sandwich_small():
     t = u_table(2, 4, 4)
     vs = vn_single_recursion(2, 8)
@@ -221,7 +235,8 @@ def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
 
 def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
     """sweep_max_word(2, 6) builds the 126 words of length <= 6 once for the
-    maximum and twice (with and without first_gap) for the bounds: 378."""
+    maximum, whose values the bounds reuse, and once more with first_gap for
+    the bounds: 252."""
     calls = []
     build = exactprob.build_automaton
 
@@ -231,4 +246,4 @@ def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
 
     monkeypatch.setattr(exactprob, "build_automaton", counting)
     assert sweeps.sweep_max_word(2, 6).ok
-    assert len(calls) == 378
+    assert len(calls) == 252
