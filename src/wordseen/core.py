@@ -106,10 +106,11 @@ def as_prefix(y: PrefixLike) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"a sequence prefix must be 1-D, got shape {arr.shape}")
     zero, one = ("0", "1") if text else (0, 1)
-    bad = (arr != zero) & (arr != one)
-    if bad.any():
+    ones = arr == one
+    if np.count_nonzero(ones) + np.count_nonzero(arr == zero) < arr.size:
+        bad = (arr != zero) & ~ones
         raise ValueError(f"sequence letters must be 0 or 1, got {arr[bad].tolist()[0]!r}")
-    return (arr == one).astype(np.uint8)
+    return ones.view(np.uint8)
 
 
 def _check_window(M: int) -> None:
@@ -406,27 +407,42 @@ def hitting_times(word: WordLike, ys: PrefixLike) -> np.ndarray:
 
     ys is one prefix or a 2-D 0/1 array of prefixes, shape (R, L); row r of the
     (R, n) result belongs to prefix r, and np.diff(T, prepend=0) gives the
-    spacings.  Raises ValueError if some letter is never hit; callers that
-    need all of T_1..T_n on exhaustive prefixes extend them with an
-    alternating tail first (the seen decision is unaffected past its horizon).
+    spacings.  Rows are packed once into uint64 words, and T_k is the lowest
+    set bit of w_k's mask above T_(k-1).  Raises ValueError if some letter is
+    never hit; callers that need all of T_1..T_n on exhaustive prefixes extend
+    them with an alternating tail first (the seen decision is unaffected past
+    its horizon).
     """
     w = as_word(word)
-    if not (isinstance(ys, np.ndarray) and ys.ndim == 2):
-        ys = as_prefix(ys)[None]
-    R, L = ys.shape
-    cols = np.arange(1, L + 1)
+    block = isinstance(ys, np.ndarray) and ys.ndim == 2  # checked as one long prefix
+    ones = as_prefix(ys.ravel() if block else ys).view(bool).reshape(ys.shape if block else (1, -1))
+    R, L = ones.shape
+    nbytes, words = -(-L // 8), -(-L // 64)
+    # bit m-1 = Y_m; rows padded to whole bytes pack in one flat call, then to words
+    bits = np.zeros((R, 8 * nbytes), dtype=bool)
+    bits[:, :L] = ones
+    packed = np.zeros((R, 8 * words), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(bits, bitorder="little").reshape(R, nbytes)
+    one_bits = packed.view("<u8")
+    in_prefix = np.array([(1 << min(64, L - 64 * j)) - 1 for j in range(words)], dtype=np.uint64)
+    masks = (~one_bits & in_prefix, one_bits)
     T = np.zeros((R, w.n), dtype=np.int64)
-    prev = np.zeros((R, 1), dtype=np.int64)
+    prev = np.zeros(R, dtype=np.int64)
     for k, letter in enumerate(w.letters):
-        match = (ys == letter) & (cols > prev)
-        hit = match.any(axis=1)
+        hit = np.zeros(R, dtype=np.int64)
+        # bit b of word j is position 64j + b + 1: clear those up to T_(k-1) (a
+        # numpy shift by 64 gives 0); the lowest word with a hit writes last
+        for j in reversed(range(words)):
+            done = np.clip(prev - 64 * j, 0, 64).astype(np.uint64)
+            x = masks[letter][:, j] & (~np.uint64(0) << done)
+            x &= ~x + np.uint64(1)
+            hit = np.where(x != 0, 64 * j + np.frexp(x.astype(np.float64))[1], hit)
         if not hit.all():
             r = int(np.argmin(hit))
             raise ValueError(
-                f"letter w_{k + 1}={letter} not hit after position {prev[r, 0]} "
+                f"letter w_{k + 1}={letter} not hit after position {prev[r]} "
                 f"within prefix #{r} of length {L}")
-        T[:, k] = match.argmax(axis=1) + 1
-        prev = T[:, k:k + 1]
+        T[:, k] = prev = hit
     return T
 
 

@@ -168,13 +168,24 @@ class MaxWordResult:
 
 def _word_values(n: int, M: int) -> Iterator[tuple[BinaryWord, Fraction]]:
     """Each word of length n, in lex order, with its exact seen probability
-    at p = 1/2.  An n over the word budget is refused before any word."""
+    at p = 1/2, computed for the first half only: the second half is the
+    first complemented and reversed, at the same values.  An n over the word
+    budget is refused before any word."""
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     if n > _WORD_BITS:
         raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
-    return ((w, exact_seen_probability(w, M))
-            for w in map(BinaryWord, product((0, 1), repeat=n)))
+
+    def sweep() -> Iterator[tuple[BinaryWord, Fraction]]:
+        values = []
+        for i, letters in enumerate(product((0, 1), repeat=n)):
+            w = BinaryWord(letters)
+            if 2 * i < 1 << n:  # w starts with 0, or is the empty word
+                values.append(exact_seen_probability(w, M))
+            # the complement of word i in lex order is word 2^n - 1 - i
+            yield w, values[min(i, (1 << n) - 1 - i)]
+
+    return sweep()
 
 
 def _argmax(values: Iterable[tuple[BinaryWord, Fraction]]) -> MaxWordResult:
@@ -191,7 +202,7 @@ def max_word_probability(n: int, M: int) -> MaxWordResult:
     """Maximize the exact seen probability at p = 1/2 over all words of
     length n, swept in lex order.
 
-    Ties are real (complementation preserves the probability at p = 1/2),
-    so every maximizer is reported.
-    """
+    At p = 1/2 a word and its complement are equally likely: each word
+    starting with 1 reads its value off its complement, and ties are real,
+    so every maximizer is reported."""
     return _argmax(_word_values(n, M))

@@ -296,6 +296,71 @@ def test_hitting_times_raise_on_a_letter_never_hit():
     assert hitting_times("", "").shape == (1, 0)
 
 
+def hitting_times_oracle(word, ys):
+    """Oracle: one scan of the whole (R, L) block per letter, sharing no code
+    with the packed kernel of hitting_times."""
+    w = BinaryWord.from_string(word) if isinstance(word, str) else word
+    if not (isinstance(ys, np.ndarray) and ys.ndim == 2):
+        ys = as_prefix(ys)[None]
+    R, L = ys.shape
+    cols = np.arange(1, L + 1)
+    T = np.zeros((R, w.n), dtype=np.int64)
+    prev = np.zeros((R, 1), dtype=np.int64)
+    for k, letter in enumerate(w.letters):
+        match = (ys == letter) & (cols > prev)
+        hit = match.any(axis=1)
+        if not hit.all():
+            r = int(np.argmin(hit))
+            raise ValueError(
+                f"letter w_{k + 1}={letter} not hit after position {prev[r, 0]} "
+                f"within prefix #{r} of length {L}")
+        T[:, k] = match.argmax(axis=1) + 1
+        prev = T[:, k:k + 1]
+    return T
+
+
+def hits_or_error(fn, word, ys):
+    try:
+        return fn(word, ys).tolist()
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("L", [0, 1, 62, 63, 64, 65, 127, 128, 200])
+def test_hitting_times_match_the_row_scan(L):
+    """Packed kernel against the oracle on seeded blocks, dense and skewed
+    (so that some rows miss a letter), never-hit messages included, and on
+    each row alone as a 1-D prefix."""
+    rng = np.random.default_rng(L)
+    outcomes = set()
+    for density in (0.5, 0.1, 0.9):
+        ys = (rng.random((30, L)) < density).astype(np.uint8)
+        for n in (1, L // 8 + 1, L // 2 + 1):
+            for word in (BinaryWord(tuple(rng.integers(0, 2, n).tolist())),
+                         BinaryWord.constant(1, n)):
+                expect = hits_or_error(hitting_times_oracle, word, ys)
+                assert hits_or_error(hitting_times, word, ys) == expect
+                outcomes.add(isinstance(expect, str))
+                for y in ys[:3]:
+                    assert (hits_or_error(hitting_times, word, y)
+                            == hits_or_error(hitting_times_oracle, word, y))
+        for word in ("", "0", "10"):
+            empty = np.zeros((0, L), dtype=np.uint8)
+            assert hitting_times(word, empty).shape == (0, len(word))
+            assert (hits_or_error(hitting_times, word, ys[:, :0])
+                    == hits_or_error(hitting_times_oracle, word, ys[:, :0]))
+    assert outcomes == ({True} if L <= 1 else {False, True})
+
+
+def test_hitting_times_check_block_letters():
+    # a 2-D block is checked as as_prefix checks one prefix, not read as 0/1
+    with pytest.raises(ValueError, match="^sequence letters must be 0 or 1, got 2$"):
+        hitting_times("1", np.array([[0, 1], [2, 1]]))
+    with pytest.raises(ValueError, match="got 0.5"):
+        hitting_times("0", np.array([[0.0, 1.0], [1.0, 0.5]]))
+    assert hitting_times("10", np.array([[True, False], [True, False]])).tolist() == [[1, 2]] * 2
+
+
 PREFIX_FORMS = {
     "str": lambda bits: "".join(map(str, bits)),
     "list": list,

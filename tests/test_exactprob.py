@@ -50,6 +50,12 @@ def test_general_bias():
     w = BinaryWord.from_string("1101")
     assert exact_seen_probability(w, 2, p) == exact_seen_probability(
         w.complement(), 2, 1 - p)
+    # at p = 1/2 a word and its complement tie, which the word sweep relies on
+    for M in (1, 2, 3, 4):
+        for n in range(8):
+            for letters in itertools.product((0, 1), repeat=n):
+                w = BinaryWord(letters)
+                assert exact_seen_probability(w, M) == exact_seen_probability(w.complement(), M)
 
 
 def test_probability_validation():
@@ -202,23 +208,27 @@ def test_first_gap_split():
 # ---------------------------------------------------------------------------
 
 def test_sweep_order_and_count(monkeypatch):
-    """max_word_probability sweeps the 8 words of length 3 in lex order, and
-    complement pairs tie at p = 1/2."""
-    swept = []
+    """The sweep of length 3 computes the 4 words starting with 0 and yields
+    all 8 in lex order, each complement at its partner's value."""
+    computed = []
 
     def recording(word, M):
-        swept.append((word, exact_seen_probability(word, M)))
-        return swept[-1][1]
+        computed.append(str(word))
+        return exact_seen_probability(word, M)
 
     monkeypatch.setattr(exactprob, "exact_seen_probability", recording)
-    res = max_word_probability(3, 2)
-    assert len(swept) == 8
+    swept = list(exactprob._word_values(3, 2))
+    assert computed == ["000", "001", "010", "011"]
     words = [str(w) for w, _ in swept]
-    assert words == sorted(words)
+    assert words == ["".join(bits) for bits in itertools.product("01", repeat=3)]
     probs = dict(swept)
     for w, val in swept:
         assert probs[w.complement()] == val
+    res = max_word_probability(3, 2)
     assert {str(w) for w in res.words} == {"010", "101"}
+    assert computed[4:] == computed[:4]  # the same half again, nothing more
+    # the empty word has no first letter and is yielded alone
+    assert list(exactprob._word_values(0, 2)) == [(BinaryWord(()), 1)]
 
 
 def test_max_word_small_cases():

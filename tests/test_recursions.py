@@ -234,9 +234,10 @@ def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
 
 
 def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
-    """sweep_max_word(2, 6) builds the 126 words of length <= 6 once for the
-    maximum, whose values the bounds reuse, and once more with first_gap for
-    the bounds: 252."""
+    """sweep_max_word(2, 6) builds the 63 words of length <= 6 starting with
+    0 once for the maximum (each complement's value is read off its partner),
+    the bounds reuse all 126 values, and each of the 126 words is built once
+    more with first_gap for the bounds: 189."""
     calls = []
     build = exactprob.build_automaton
 
@@ -246,4 +247,4 @@ def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
 
     monkeypatch.setattr(exactprob, "build_automaton", counting)
     assert sweeps.sweep_max_word(2, 6).ok
-    assert len(calls) == 252
+    assert len(calls) == 189
