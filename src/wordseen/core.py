@@ -306,14 +306,15 @@ def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:
 
     No horizon requirement: a True answer certifies an embedding, a False
     answer only says there is none within the letters given.  Runs the
-    bitset kernel seen_packed: n letters of O(log M) shifts on (L + M)-bit
-    integers, so it stays usable for the very wide windows the coupling
-    chain produces.
+    bitset kernel seen_packed with the window capped at the prefix length L
+    (no gap inside L letters is longer than L): n letters of O(log L)
+    shifts on integers of at most 2L bits, however wide the windows the
+    coupling chain produces.
     """
     w = as_word(word)
     y = as_prefix(prefix)
     _check_window(M)
-    return seen_packed(w.letters, _pack(y), len(y), M)
+    return seen_packed(w.letters, _pack(y), len(y), min(M, len(y)))
 
 
 def is_m_seen(word: WordLike, prefix: PrefixLike, M: int) -> bool:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,7 +28,7 @@ DEAD = "DEAD"
 _STATE_CAP = 10 ** 6
 
 
-# Word length up to which max_word_probability sweeps all 2^n words.
+# Word length up to which max_word_probability searches the 2^n words.
 _WORD_BITS = 20
 
 
@@ -166,43 +165,38 @@ class MaxWordResult:
     probability: Fraction
 
 
-def _word_values(n: int, M: int) -> Iterator[tuple[BinaryWord, Fraction]]:
-    """Each word of length n, in lex order, with its exact seen probability
-    at p = 1/2, computed for the first half only: the second half is the
-    first complemented and reversed, at the same values.  An n over the word
-    budget is refused before any word."""
+def _check_word_length(n: int) -> None:
+    """Refuse a negative word length, or one over the budget of the
+    maximizing-word search."""
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     if n > _WORD_BITS:
         raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
 
-    def sweep() -> Iterator[tuple[BinaryWord, Fraction]]:
-        values = []
-        for i, letters in enumerate(product((0, 1), repeat=n)):
-            w = BinaryWord(letters)
-            if 2 * i < 1 << n:  # w starts with 0, or is the empty word
-                values.append(exact_seen_probability(w, M))
-            # the complement of word i in lex order is word 2^n - 1 - i
-            yield w, values[min(i, (1 << n) - 1 - i)]
-
-    return sweep()
-
-
-def _argmax(values: Iterable[tuple[BinaryWord, Fraction]]) -> MaxWordResult:
-    best, winners = None, []
-    for w, value in values:
-        if best is None or value > best:
-            best, winners = value, [w]
-        elif value == best:
-            winners.append(w)
-    return MaxWordResult(tuple(winners), best)
-
 
 def max_word_probability(n: int, M: int) -> MaxWordResult:
     """Maximize the exact seen probability at p = 1/2 over all words of
-    length n, swept in lex order.
+    length n, by branch-and-bound over the word trie.
 
-    At p = 1/2 a word and its complement are equally likely: each word
-    starting with 1 reads its value off its complement, and ties are real,
-    so every maximizer is reported."""
-    return _argmax(_word_values(n, M))
+    A word is seen only if each of its prefixes is, so P(prefix) bounds
+    every word below it.  The search fixes the first letter to 0, starts
+    from the alternating word's value and drops a prefix only when its value
+    is strictly below the best so far, so ties survive: every maximizer is
+    reported, each with its complement, which is equally likely at p = 1/2."""
+    _check_word_length(n)
+    best = exact_seen_probability(BinaryWord.alternating(0, n), M)
+    winners: list[BinaryWord] = []
+    stack = [BinaryWord((0,) if n else ())]
+    while stack:
+        w = stack.pop()
+        value = exact_seen_probability(w, M)
+        if value < best:
+            continue
+        if w.n < n:
+            stack += [BinaryWord(w.letters + (1,)), BinaryWord(w.letters + (0,))]
+        elif value > best:
+            best, winners = value, [w]
+        else:
+            winners.append(w)
+    words = set(winners) | {w.complement() for w in winners}
+    return MaxWordResult(tuple(sorted(words, key=lambda w: w.letters)), best)

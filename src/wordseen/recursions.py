@@ -335,24 +335,18 @@ def verify_suffix_bounds_m2(words: Iterable[WordLike]) -> list[BinaryWord]:
     let r be u without its first letter: the start at 1, P1(u), halves P(r)
     exactly (the first letter either matches at position 1 or it does not),
     while the start at 2, P(u) - P1(u), only obeys the one-sided quarter
-    bound; together these force P(u) <= v_|u|.  Each distinct word is
-    computed once, against one v_n table.
+    bound; together these force P(u) <= v_|u|.  At p = 1/2 a word and its
+    complement share P and P1, so each pair is computed once, from the
+    member starting with 0, against one v_n table.
     """
-    return _broken_suffixes(words, {})
-
-
-def _broken_suffixes(words: Iterable[WordLike],
-                     known: dict[BinaryWord, Fraction]) -> list[BinaryWord]:
-    """verify_suffix_bounds_m2, taking P(u) from known where the caller has
-    already computed it."""
     M = 2
     rows = {w.suffix(m) for w in map(as_word, words) for m in range(1, w.n + 1)}
     vtab = vn_pair_recursion(M, max((u.n for u in rows), default=0))
     P = {BinaryWord(()): Fraction(1)}
     P1 = {}
-    for u in rows:
-        P[u] = known.get(u) or exact_seen_probability(u, M)
-        P1[u] = exact_seen_probability(u, M, first_gap=1)
+    for u in {u if u.letters[0] == 0 else u.complement() for u in rows}:
+        P[u] = P[u.complement()] = exact_seen_probability(u, M)
+        P1[u] = P1[u.complement()] = exact_seen_probability(u, M, first_gap=1)
 
     def holds(u: BinaryWord) -> bool:
         r = u.suffix(u.n - 1)

@@ -21,7 +21,7 @@ from .core import (
     is_m_seen,
     s_sequence,
 )
-from .exactprob import _argmax, _word_values, exact_seen_probability
+from .exactprob import _check_word_length, exact_seen_probability, max_word_probability
 from .moments import (
     embedding_count_moments,
     expected_embeddings,
@@ -42,7 +42,6 @@ from .montecarlo import (
     sample_sequence,
 )
 from .recursions import (
-    _broken_suffixes,
     alpha_beta,
     char_poly,
     delta_operator,
@@ -52,6 +51,7 @@ from .recursions import (
     u_table,
     vn_pair_recursion,
     vn_single_recursion,
+    verify_suffix_bounds_m2,
 )
 
 
@@ -77,16 +77,11 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
-    # planned up front, so an n_max over the word budget fails before any sweep
-    plans = [_word_values(n, M) for n in range(1, n_max + 1)]
+    _check_word_length(n_max)  # before the searches for the n within budget run
     res = SweepResult(f"max-word sweep M={M}, n <= {n_max}")
     vtab = vn_pair_recursion(M, n_max + 1)
-    known = {}  # at M = 2, P(u) of every word the suffix check below reads
-    for n, values in enumerate(plans, 1):
-        if M == 2 and n <= 6:
-            values = list(values)
-            known.update(values)
-        out = _argmax(values)
+    for n in range(1, n_max + 1):
+        out = max_word_probability(n, M)
         alt = {BinaryWord.alternating(1, n), BinaryWord.alternating(0, n)}
         if M == 2:
             if out.probability != vtab.v[n]:
@@ -113,7 +108,7 @@ def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
         words = [BinaryWord(letters) for n in range(1, 7)
                  for letters in product((0, 1), repeat=n)]
         words += [BinaryWord.alternating(1, n) for n in range(7, n_max + 1)]
-        for word in _broken_suffixes(words, known):
+        for word in verify_suffix_bounds_m2(words):
             res.fail(f"suffix bounds break for word {word}")
         res.note(f"max = v_n with alternating maximizers for all n <= {n_max}; "
                  f"start-position bounds hold")
@@ -244,25 +239,22 @@ def sweep_second_moment() -> SweepResult:
     n_oracle, Ms, n_avg = 4, (2, 3), 6
     res = SweepResult(f"second moments: oracle n <= {n_oracle}, M in {Ms}; "
                       f"random-word identity n <= {n_avg}")
-    for M in Ms:
-        for n in range(1, n_oracle + 1):
-            for letters in product((0, 1), repeat=n):
-                w = BinaryWord(letters)
-                exact = second_moment_exact(w, M)
-                mean, oracle = embedding_count_moments(w, M)
-                if exact != oracle:
-                    res.fail(f"M={M}, word {w}: walk value {exact} != "
-                             f"enumeration {oracle}")
-                if mean != expected_embeddings(M, n):
-                    res.fail(f"M={M}, word {w}: mean embedding count != "
-                             f"(M/2)^n")
     table = renewal_table(2, n_avg)
-    for n in range(1, n_avg + 1):
-        for M in Ms:
+    for M in Ms:
+        for n in range(1, n_avg + 1):
             values = {}
             for letters in product((0, 1), repeat=n):
                 w = BinaryWord(letters)
                 values[w] = second_moment_exact(w, M)
+                if n > n_oracle:
+                    continue
+                mean, oracle = embedding_count_moments(w, M)
+                if values[w] != oracle:
+                    res.fail(f"M={M}, word {w}: walk value {values[w]} != "
+                             f"enumeration {oracle}")
+                if mean != expected_embeddings(M, n):
+                    res.fail(f"M={M}, word {w}: mean embedding count != "
+                             f"(M/2)^n")
             if M == 2:
                 mean = sum(values.values(), Fraction(0)) / 2 ** n
                 expect = random_word_second_moment(2, n, table)

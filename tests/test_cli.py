@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from wordseen import cli, montecarlo, sweeps
+from wordseen import cli, exactprob, montecarlo, sweeps
 from wordseen.cli import main
 from wordseen.exactprob import StateCapExceeded
 from wordseen.moments import GrowthConstant
@@ -185,16 +185,16 @@ def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
     # thm3 scans 2^(3n) prefixes at M = 3: n = 7 is over core's 20-bit
     # budget and is refused before any prefix is decided
     def unreachable(*args, **kwargs):
-        raise AssertionError("decided prefixes over the budget")
+        raise AssertionError("work started over the budget")
 
     monkeypatch.setattr(sweeps, "batch_seen", unreachable)
     assert run_error("verify", "thm3", "--n", "7") == 2
     assert ("exhaustive sweep over 2^21 prefixes exceeds the 20-bit budget"
             in capsys.readouterr().err)
     assert run_error("verify", "thm3", "--n", "8") == 2
-    # thm1a sweeps 2^n words for each n <= --n: n = 21 is over the word
-    # budget and is refused before the sweeps for n <= 20 run
-    monkeypatch.setattr(sweeps, "_argmax", unreachable)
+    # thm1a searches the 2^n words of each n <= --n: n = 21 is over the word
+    # budget and is refused before any automaton is built
+    monkeypatch.setattr(exactprob, "build_automaton", unreachable)
     start = time.perf_counter()
     assert run_error("verify", "thm1a", "--n", "21") == 2
     assert time.perf_counter() - start < 1.0

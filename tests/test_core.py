@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,30 @@ def test_seen_monotone_in_window(wbits, data, M):
     y = data.draw(st.lists(st.integers(0, 1), min_size=L, max_size=L))
     if seen_within(w, y, M):
         assert seen_within(w, y, M + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits, st.lists(st.integers(0, 1), min_size=0, max_size=8), st.integers(1, 30))
+def test_seen_within_caps_window_at_prefix_length(wbits, y, M):
+    """A window wider than the prefix decides as the full-width kernel does."""
+    assert seen_within(wbits, y, M) == seen_packed(tuple(wbits), pack(y), len(y), M)
+
+
+def test_seen_within_wide_window_stays_small():
+    """At a window of 3^17 on a 2^17-letter prefix the verdict is the one at
+    window L, and the kernel's integers stay near L bits, not L + M."""
+    L, M = 2 ** 17, 3 ** 17
+    y = np.random.default_rng(5).integers(0, 2, L, dtype=np.uint8)
+    zeros = np.zeros(L, dtype=np.uint8)
+    for word, prefix, expect in (("110100", y, True), ("01", zeros, False)):
+        tracemalloc.start()
+        try:
+            got = seen_within(word, prefix, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == seen_within(word, prefix, L) == expect
+        assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,15 @@ def test_general_bias():
     w = BinaryWord.from_string("1101")
     assert exact_seen_probability(w, 2, p) == exact_seen_probability(
         w.complement(), 2, 1 - p)
-    # at p = 1/2 a word and its complement tie, which the word sweep relies on
+    # at p = 1/2 a word and its complement tie, with or without the first
+    # gap capped at 1: the word search and the suffix bounds rely on it
     for M in (1, 2, 3, 4):
         for n in range(8):
             for letters in itertools.product((0, 1), repeat=n):
                 w = BinaryWord(letters)
-                assert exact_seen_probability(w, M) == exact_seen_probability(w.complement(), M)
+                for gap in (None, 1):
+                    assert (exact_seen_probability(w, M, first_gap=gap)
+                            == exact_seen_probability(w.complement(), M, first_gap=gap))
 
 
 def test_probability_validation():
@@ -204,12 +207,31 @@ def test_first_gap_split():
 
 
 # ---------------------------------------------------------------------------
-# sweeping all words of one length
+# maximizing words of one length
 # ---------------------------------------------------------------------------
 
+def full_sweep_maximizers(n, M):
+    """Oracle: the exact value of every word of length n, then the maximum
+    and every word that reaches it, in lex order."""
+    values = {BinaryWord(letters): exact_seen_probability(BinaryWord(letters), M)
+              for letters in itertools.product((0, 1), repeat=n)}
+    top = max(values.values())
+    return [w for w, value in values.items() if value == top], top
+
+
+@pytest.mark.parametrize("M,n_max", [(1, 8), (2, 10), (3, 8), (4, 8)])
+def test_search_matches_full_sweep(M, n_max):
+    """Branch-and-bound returns the full sweep's maximum and maximizers; at
+    M = 1 every word ties, so nothing is pruned and all 2^n words come back."""
+    for n in range(n_max + 1):
+        words, top = full_sweep_maximizers(n, M)
+        res = max_word_probability(n, M)
+        assert (list(res.words), res.probability) == (words, top), (M, n)
+
+
 def test_sweep_order_and_count(monkeypatch):
-    """The sweep of length 3 computes the 4 words starting with 0 and yields
-    all 8 in lex order, each complement at its partner's value."""
+    """The search of length 3 only computes words starting with 0 and adds
+    each maximizer's complement; the empty word is returned alone."""
     computed = []
 
     def recording(word, M):
@@ -217,18 +239,14 @@ def test_sweep_order_and_count(monkeypatch):
         return exact_seen_probability(word, M)
 
     monkeypatch.setattr(exactprob, "exact_seen_probability", recording)
-    swept = list(exactprob._word_values(3, 2))
-    assert computed == ["000", "001", "010", "011"]
-    words = [str(w) for w, _ in swept]
-    assert words == ["".join(bits) for bits in itertools.product("01", repeat=3)]
-    probs = dict(swept)
-    for w, val in swept:
-        assert probs[w.complement()] == val
     res = max_word_probability(3, 2)
-    assert {str(w) for w in res.words} == {"010", "101"}
-    assert computed[4:] == computed[:4]  # the same half again, nothing more
-    # the empty word has no first letter and is yielded alone
-    assert list(exactprob._word_values(0, 2)) == [(BinaryWord(()), 1)]
+    assert [str(w) for w in res.words] == ["010", "101"]
+    assert res.probability == Fraction(17, 32)
+    assert computed[0] == "010"  # the starting bound
+    assert all(w.startswith("0") for w in computed)
+    # "00" (9/16) and "01" (5/8) both beat 17/32, so every leaf is tried
+    assert sorted(computed[1:]) == ["0", "00", "000", "001", "01", "010", "011"]
+    assert max_word_probability(0, 2) == exactprob.MaxWordResult((BinaryWord(()),), 1)
 
 
 def test_max_word_small_cases():

@@ -214,8 +214,9 @@ def test_suffix_bounds_every_short_word():
 def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
     """Raising one value of one 6-letter word breaks one condition of its
     row: the start-1 value its halving, the total (whose quarter bound is
-    tight) its quarter bound.  No longer word is checked, so no other row
-    reads it, and the bound check and the thm1a sweep name exactly it."""
+    tight) its quarter bound.  Its complement shares the values, so its row
+    breaks too; no longer word is checked, so no other row reads them, and
+    the bound check and the thm1a sweep name the broken word first."""
     broken = BinaryWord.from_string(bits)
 
     def perturbed(word, M, first_gap=None):
@@ -227,17 +228,18 @@ def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
     monkeypatch.setattr(recursions, "exact_seen_probability", perturbed)
     words = [BinaryWord(letters) for n in range(1, 7)
              for letters in itertools.product((0, 1), repeat=n)]
-    assert verify_suffix_bounds_m2(words) == [broken]
+    assert verify_suffix_bounds_m2(words) == [broken, broken.complement()]
     res = sweeps.sweep_max_word(2, 4)
     assert not res.ok
     assert res.counterexample == f"suffix bounds break for word {bits}"
 
 
 def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
-    """sweep_max_word(2, 6) builds the 63 words of length <= 6 starting with
-    0 once for the maximum (each complement's value is read off its partner),
-    the bounds reuse all 126 values, and each of the 126 words is built once
-    more with first_gap for the bounds: 189."""
+    """sweep_max_word(2, 6) builds 94 automata in the six maximizing-word
+    searches (the alternating word's bound, then the trie nodes not pruned),
+    and the bounds build each of the 63 words of length <= 6 starting with 0
+    twice, with and without first_gap, their complements sharing the
+    values: 94 + 126 = 220."""
     calls = []
     build = exactprob.build_automaton
 
@@ -247,4 +249,4 @@ def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
 
     monkeypatch.setattr(exactprob, "build_automaton", counting)
     assert sweeps.sweep_max_word(2, 6).ok
-    assert len(calls) == 189
+    assert len(calls) == 220
