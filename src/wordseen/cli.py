@@ -151,7 +151,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_maxword(args) -> int:
-    out = max_word_probability(args.n, args.M)
+    out = max_word_probability(args.n, args.M)[-1]
     _emit(args, [{"n": args.n, "M": args.M, "probability": _frac(out.probability),
                   "decimal": _dec(out.probability),
                   "maximizers": [str(w) for w in out.words]}])
@@ -314,6 +314,8 @@ def main(argv=None) -> int:
         parser.error(str(err))
     except StateCapExceeded as err:
         parser.exit(2, f"{parser.prog}: resource limit: {err}\n")
+    except OSError as err:  # --out names a path that cannot be written
+        parser.exit(2, f"{parser.prog}: cannot write output: {err}\n")
 
 
 if __name__ == "__main__":

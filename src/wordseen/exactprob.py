@@ -174,29 +174,33 @@ def _check_word_length(n: int) -> None:
         raise ValueError(f"sweep over 2^{n} words exceeds the enumeration budget")
 
 
-def max_word_probability(n: int, M: int) -> MaxWordResult:
-    """Maximize the exact seen probability at p = 1/2 over all words of
-    length n, by branch-and-bound over the word trie.
+def max_word_probability(n: int, M: int) -> tuple[MaxWordResult, ...]:
+    """Maximize the exact seen probability at p = 1/2 over the words of each
+    length 0..n, by one depth-first walk of the word trie; entry k of the
+    result is the maximum over length k.
 
     A word is seen only if each of its prefixes is, so P(prefix) bounds
-    every word below it.  The search fixes the first letter to 0, starts
-    from the alternating word's value and drops a prefix only when its value
-    is strictly below the best so far, so ties survive: every maximizer is
-    reported, each with its complement, which is equally likely at p = 1/2."""
+    every word below it, and the maximum over length k is never below the
+    maximum over length n.  The walk fixes the first letter to 0, starts the
+    length-n bound at the alternating word's value and drops a node only when
+    its value is strictly below the best length-n value so far, so every
+    maximizer of every length survives, ties included: each is reported
+    with its complement, which is equally likely at p = 1/2."""
     _check_word_length(n)
-    best = exact_seen_probability(BinaryWord.alternating(0, n), M)
-    winners: list[BinaryWord] = []
-    stack = [BinaryWord((0,) if n else ())]
+    best = [Fraction(0)] * n + [exact_seen_probability(BinaryWord.alternating(0, n), M)]
+    winners: list[list[BinaryWord]] = [[] for _ in range(n + 1)]
+    stack = [BinaryWord(())]
     while stack:
         w = stack.pop()
         value = exact_seen_probability(w, M)
-        if value < best:
+        if value < best[n]:
             continue
+        if value > best[w.n]:
+            best[w.n], winners[w.n] = value, [w]
+        elif value == best[w.n]:
+            winners[w.n].append(w)
         if w.n < n:
-            stack += [BinaryWord(w.letters + (1,)), BinaryWord(w.letters + (0,))]
-        elif value > best:
-            best, winners = value, [w]
-        else:
-            winners.append(w)
-    words = set(winners) | {w.complement() for w in winners}
-    return MaxWordResult(tuple(sorted(words, key=lambda w: w.letters)), best)
+            stack += [BinaryWord(w.letters + (c,)) for c in ((1, 0) if w.n else (0,))]
+    return tuple(MaxWordResult(tuple(sorted(set(ws) | {w.complement() for w in ws},
+                                            key=lambda w: w.letters)), top)
+                 for ws, top in zip(winners, best))

@@ -36,17 +36,11 @@ def _check_n(N: int) -> None:
 
 @dataclass(frozen=True)
 class VnTable:
-    """v_n, v_n' and the split by starting position, n = 0..N.
-
-    by_start[n][k-1] is the probability that the alternating word of length
-    n is seen with leftmost embedding starting at position k (1 <= k <= M);
-    rows exist for n >= 1 and sum to v_n, with v_n' = the k = M entry.
-    """
+    """v_n and v_n', n = 0..N."""
 
     M: int
     v: tuple[Fraction, ...]
     vprime: tuple[Fraction, ...]
-    by_start: tuple[tuple[Fraction, ...], ...]
 
     @property
     def N(self) -> int:
@@ -58,26 +52,20 @@ class VnTable:
 
 
 def vn_pair_recursion(M: int, N: int) -> VnTable:
-    """Fill v/v' by the coupled two-term recursion, plus the per-start split.
+    """Fill v/v' by the coupled two-term recursion:
 
     v_n = alpha*v_{n-1} + (alpha - M*beta)*v'_{n-1}
     v'_n = beta*v_{n-1} + (M-1)*beta*v'_{n-1}
-    start k: v_{n,k} = 2^-k * v_{n-1} + (k-1)*2^-k * v'_{n-1}
     """
     alpha, beta = alpha_beta(M)
     _check_n(N)
     v = [Fraction(1)]
     vprime = [Fraction(0)]
-    rows: list[tuple[Fraction, ...]] = [()]  # empty word has no start
-    for n in range(1, N + 1):
+    for _ in range(N):
         prev_v, prev_p = v[-1], vprime[-1]
-        row = tuple(
-            Fraction(1, 2 ** k) * prev_v + Fraction(k - 1, 2 ** k) * prev_p
-            for k in range(1, M + 1))
-        rows.append(row)
         v.append(alpha * prev_v + (alpha - M * beta) * prev_p)
         vprime.append(beta * prev_v + (M - 1) * beta * prev_p)
-    return VnTable(M, tuple(v), tuple(vprime), tuple(rows))
+    return VnTable(M, tuple(v), tuple(vprime))
 
 
 def vn_single_recursion(M: int, N: int) -> list[Fraction]:

@@ -77,11 +77,12 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def sweep_max_word(M: int = 2, n_max: int = 8) -> SweepResult:
-    _check_word_length(n_max)  # before the searches for the n within budget run
+    _check_word_length(n_max)  # before the recursion and the search run
     res = SweepResult(f"max-word sweep M={M}, n <= {n_max}")
     vtab = vn_pair_recursion(M, n_max + 1)
+    maxima = max_word_probability(n_max, M)
     for n in range(1, n_max + 1):
-        out = max_word_probability(n, M)
+        out = maxima[n]
         alt = {BinaryWord.alternating(1, n), BinaryWord.alternating(0, n)}
         if M == 2:
             if out.probability != vtab.v[n]:
@@ -172,8 +173,9 @@ def _agree(res: SweepResult, what: str, verdict: np.ndarray, seen: np.ndarray,
 
 
 def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
-    """Every spacing criterion of core against batch_seen, on every prefix."""
-    res = SweepResult(f"spacing characterizations M in (2, 3), n <= {n_max}")
+    """Every spacing criterion of core against batch_seen, on every prefix,
+    then the worked four-letter example."""
+    res = SweepResult(f"spacing characterizations n <= {n_max}")
     # planned up front, so an n_max over the prefix budget fails before any scan
     blocks = {(M, n): _prefix_blocks(n * M) for M in (2, 3) for n in range(1, n_max + 1)}
     for M in (2, 3):
@@ -211,6 +213,10 @@ def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
             if Fraction(int(hits[1, 1]), 1 << n * M) != vs[n]:
                 res.fail(f"M={M}, n={n}: alternating count != v_n")
         res.note(f"M={M}: all spacing forms match the engine up to n={n_max}")
+    example = worked_four_letter_example()
+    res.ok = res.ok and example.ok
+    res.details += example.details
+    res.counterexample = res.counterexample or example.counterexample
     return res
 
 
@@ -481,20 +487,6 @@ def red_grid_equivalence() -> SweepResult:
     return res
 
 
-def _thm3_combined(n_max: int | None = None) -> SweepResult:
-    if n_max is None:
-        first = sweep_spacing_equivalences()
-        merged = SweepResult("spacing characterizations + worked example")
-    else:
-        first = sweep_spacing_equivalences(n_max=n_max)
-        merged = SweepResult(f"spacing characterizations n <= {n_max}")
-    second = worked_four_letter_example()
-    merged.ok = first.ok and second.ok
-    merged.details = first.details + second.details
-    merged.counterexample = first.counterexample or second.counterexample
-    return merged
-
-
 # suite name -> (function name, {flag: keyword argument}) for `wordseen
 # verify`; a flag missing from a suite's map is one that suite does not take.
 # Functions are looked up by name when a suite runs, so a wrapper rebound to
@@ -502,7 +494,7 @@ def _thm3_combined(n_max: int | None = None) -> SweepResult:
 SUITES = {
     "thm1a": ("sweep_max_word", {"M": "M", "n": "n_max"}),
     "thm1b": ("sweep_two_block_chain", {"n": "total_max"}),
-    "thm3": ("_thm3_combined", {"n": "n_max"}),
+    "thm3": ("sweep_spacing_equivalences", {"n": "n_max"}),
     "thm4": ("sweep_second_moment", {}),
     "lemma43": ("sweep_polynomial_certificates", {}),
     "renewal": ("sweep_renewal_facts", {"M": "M_max", "N": "N"}),

@@ -282,3 +282,16 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [("exact", "--word", "01", "--M", "2"),
+                                  ("verify", "lemma43")])
+def test_out_to_an_unwritable_path_exits_two(tmp_path, capsys, argv):
+    """A directory, or a file under a missing directory, cannot be written:
+    one line on stderr and exit 2, not a traceback and exit 1."""
+    for target in (tmp_path, tmp_path / "no" / "such" / "r.txt"):
+        assert run_error(*argv, "--out", str(target)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wordseen: cannot write output: ")
+        assert captured.err.count("\n") == 1

@@ -207,7 +207,7 @@ def test_first_gap_split():
 
 
 # ---------------------------------------------------------------------------
-# maximizing words of one length
+# maximizing words of every length up to n
 # ---------------------------------------------------------------------------
 
 def full_sweep_maximizers(n, M):
@@ -221,17 +221,20 @@ def full_sweep_maximizers(n, M):
 
 @pytest.mark.parametrize("M,n_max", [(1, 8), (2, 10), (3, 8), (4, 8)])
 def test_search_matches_full_sweep(M, n_max):
-    """Branch-and-bound returns the full sweep's maximum and maximizers; at
-    M = 1 every word ties, so nothing is pruned and all 2^n words come back."""
-    for n in range(n_max + 1):
+    """One walk returns the full sweep's maximum and maximizers for every
+    length up to n_max; at M = 1 every word of a length ties, so nothing is
+    pruned and all 2^n words of each length come back."""
+    results = max_word_probability(n_max, M)
+    assert len(results) == n_max + 1
+    for n, res in enumerate(results):
         words, top = full_sweep_maximizers(n, M)
-        res = max_word_probability(n, M)
         assert (list(res.words), res.probability) == (words, top), (M, n)
 
 
 def test_sweep_order_and_count(monkeypatch):
-    """The search of length 3 only computes words starting with 0 and adds
-    each maximizer's complement; the empty word is returned alone."""
+    """The walk to length 3 computes the alternating bound, the empty word
+    and words starting with 0 only, and adds each maximizer's complement;
+    at length 0 the empty word is returned alone."""
     computed = []
 
     def recording(word, M):
@@ -239,21 +242,21 @@ def test_sweep_order_and_count(monkeypatch):
         return exact_seen_probability(word, M)
 
     monkeypatch.setattr(exactprob, "exact_seen_probability", recording)
-    res = max_word_probability(3, 2)
-    assert [str(w) for w in res.words] == ["010", "101"]
-    assert res.probability == Fraction(17, 32)
-    assert computed[0] == "010"  # the starting bound
-    assert all(w.startswith("0") for w in computed)
+    results = max_word_probability(3, 2)
+    assert [([str(w) for w in res.words], res.probability) for res in results] == [
+        ([""], 1), (["0", "1"], Fraction(3, 4)), (["01", "10"], Fraction(5, 8)),
+        (["010", "101"], Fraction(17, 32))]
+    assert computed[:2] == ["010", ""]  # the starting bound, then the root
     # "00" (9/16) and "01" (5/8) both beat 17/32, so every leaf is tried
-    assert sorted(computed[1:]) == ["0", "00", "000", "001", "01", "010", "011"]
-    assert max_word_probability(0, 2) == exactprob.MaxWordResult((BinaryWord(()),), 1)
+    assert sorted(computed[2:]) == ["0", "00", "000", "001", "01", "010", "011"]
+    assert max_word_probability(0, 2) == (exactprob.MaxWordResult((BinaryWord(()),), 1),)
 
 
 def test_max_word_small_cases():
-    res = max_word_probability(1, 2)
+    res = max_word_probability(1, 2)[-1]
     assert res.probability == Fraction(3, 4)
     assert {str(w) for w in res.words} == {"0", "1"}
-    res4 = max_word_probability(4, 2)
+    res4 = max_word_probability(4, 2)[-1]
     assert res4.probability == vn_single_recursion(2, 4)[4]
     assert {str(w) for w in res4.words} == {"0101", "1010"}
 

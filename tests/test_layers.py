@@ -13,19 +13,34 @@ from pathlib import Path
 
 import pytest
 
+from wordseen import sweeps
+
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def test_every_layer_name_resolves():
+def _load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_layer_name_resolves():
+    layers = _load_layers()
     missing = []
     for module, attr, _, _ in layers.LAYERS:
         owner, name = layers._resolve(module, attr)
         if not callable(getattr(owner, name, None)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_every_verify_suite_is_one_traced_span():
+    """Each suite of `wordseen verify` is a function the tracer wraps in the
+    sweeps.fn group, so one verify job is one span there."""
+    traced = {attr for module, attr, group, _ in _load_layers().LAYERS
+              if (module, group) == ("sweeps", "sweeps.fn")}
+    assert {fn_name for fn_name, _ in sweeps.SUITES.values()} <= traced
 
 
 def _imported_modules(path: Path) -> set[str]:

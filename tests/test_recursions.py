@@ -46,13 +46,12 @@ def test_single_equals_pair(M):
 
 @pytest.mark.parametrize("M", [2, 3])
 def test_by_start_rows(M):
-    """v_{n,k} over start positions k sums to v_n; the k = 1 share is the
-    automaton value with the first hit pinned to position 1."""
+    """The share of v_n whose leftmost embedding starts at position 1 is
+    v_{n-1}/2, the automaton value with the first hit pinned to position 1."""
     t = vn_pair_recursion(M, 5)
     for n in range(1, 6):
-        assert sum(t.by_start[n]) == t.v[n]
         w = BinaryWord.alternating(1, n)
-        assert t.by_start[n][0] == exact_seen_probability(w, M, first_gap=1)
+        assert t.v[n - 1] / 2 == exact_seen_probability(w, M, first_gap=1)
 
 
 def test_recursion_matches_engine():
@@ -235,11 +234,11 @@ def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
 
 
 def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
-    """sweep_max_word(2, 6) builds 94 automata in the six maximizing-word
-    searches (the alternating word's bound, then the trie nodes not pruned),
-    and the bounds build each of the 63 words of length <= 6 starting with 0
-    twice, with and without first_gap, their complements sharing the
-    values: 94 + 126 = 220."""
+    """sweep_max_word(2, 6) builds 43 automata in its one maximizing-word
+    walk (the alternating word's bound, the empty word, then the trie nodes
+    not pruned), and the bounds build each of the 63 words of length <= 6
+    starting with 0 twice, with and without first_gap, their complements
+    sharing the values: 43 + 126 = 169."""
     calls = []
     build = exactprob.build_automaton
 
@@ -249,4 +248,4 @@ def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
 
     monkeypatch.setattr(exactprob, "build_automaton", counting)
     assert sweeps.sweep_max_word(2, 6).ok
-    assert len(calls) == 220
+    assert len(calls) == 169

@@ -7,12 +7,15 @@ from wordseen.montecarlo import RngConfig, coupling_F, sample_sequence
 
 def test_spacing_sweep_over_small_blocks(monkeypatch):
     """Blocks of 5 rows split every scan, the last block partial; the seen
-    counts summed over blocks still give alpha^n and v_n."""
+    counts summed over blocks still give alpha^n and v_n; the worked
+    four-letter example reports last."""
     monkeypatch.setattr(core, "_BLOCK_ROWS", 5)
     res = sweeps.sweep_spacing_equivalences(n_max=3)
     assert res.ok
+    assert res.name == "spacing characterizations n <= 3"
     assert res.details == ["M=2: all spacing forms match the engine up to n=3",
-                           "M=3: all spacing forms match the engine up to n=3"]
+                           "M=3: all spacing forms match the engine up to n=3",
+                           "spacings and both extensions behave as computed by hand"]
 
 
 def test_spacing_sweep_names_the_failing_prefix(monkeypatch):
@@ -27,6 +30,18 @@ def test_spacing_sweep_names_the_failing_prefix(monkeypatch):
     assert not res.ok
     assert res.counterexample == ("M=2, n=1, constant(0): spacing test "
                                   "disagrees at prefix 10")
+
+
+def test_spacing_sweep_reports_a_failing_worked_example(monkeypatch):
+    """The worked example runs last inside the thm3 sweep; its failure fails
+    the sweep and becomes the counterexample when the scans pass."""
+    broken = sweeps.SweepResult("four-letter worked example")
+    broken.fail("spacings (1, 1, 1, 2) != (1, 1, 1, 3)")
+    monkeypatch.setattr(sweeps, "worked_four_letter_example", lambda: broken)
+    res = sweeps.sweep_spacing_equivalences(n_max=1)
+    assert not res.ok
+    assert res.counterexample == "spacings (1, 1, 1, 2) != (1, 1, 1, 3)"
+    assert res.details[-1] == "FAIL: spacings (1, 1, 1, 2) != (1, 1, 1, 3)"
 
 
 def test_coupling_sweep_details_are_pinned():
