@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -46,6 +48,15 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out that no open can write, before any work is done: a
+    directory, or a file in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(args, rows: list[dict], doc=None) -> None:
@@ -309,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ValueError, KeyError) as err:
         parser.error(str(err))

@@ -237,10 +237,8 @@ class GrowthConstant:
     same limit and adds their geometric tail.
     """
 
-    M: int
     by_bisection: float
     by_ratio: float
-    tol: float
 
 
 def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
@@ -323,6 +321,6 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
         if 0 <= q < 1 and abs(delta) * q / (1 - q) < tol / 10:
             by_ratio = ratio + delta * q / (1 - q)
 
-    out = GrowthConstant(M, by_bisection, by_ratio, tol)
+    out = GrowthConstant(by_bisection, by_ratio)
     assert out.by_bisection > 1
     return out

@@ -9,7 +9,7 @@ them with core's lane-packed batch_seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -286,14 +286,8 @@ class ChainDemoReport:
                 and abs(self.empirical - self.p_target) <= self.tolerance)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p, "p_target": self.p_target,
-            "stages": [[s.p_in, s.p1, s.p_out] for s in self.stages],
-            "window": self.window, "length": self.length,
-            "samples": self.samples, "witness_failures": self.witness_failures,
-            "empirical": self.empirical, "tolerance": self.tolerance,
-            "seed": self.seed, "ok": self.ok,
-        }
+        return dict(asdict(self), ok=self.ok,
+                    stages=[[s.p_in, s.p1, s.p_out] for s in self.stages])
 
 
 def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,

@@ -38,13 +38,8 @@ def _check_n(N: int) -> None:
 class VnTable:
     """v_n and v_n', n = 0..N."""
 
-    M: int
     v: tuple[Fraction, ...]
     vprime: tuple[Fraction, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.v) - 1
 
     def ratio(self, n: int) -> Fraction:
         """v_{n+1} / v_n."""
@@ -65,7 +60,7 @@ def vn_pair_recursion(M: int, N: int) -> VnTable:
         prev_v, prev_p = v[-1], vprime[-1]
         v.append(alpha * prev_v + (alpha - M * beta) * prev_p)
         vprime.append(beta * prev_v + (M - 1) * beta * prev_p)
-    return VnTable(M, tuple(v), tuple(vprime))
+    return VnTable(tuple(v), tuple(vprime))
 
 
 def vn_single_recursion(M: int, N: int) -> list[Fraction]:
@@ -84,7 +79,6 @@ class CharPoly:
     """lambda^2 + b*lambda + c annihilating the v_n recursion, with its two
     real roots isolated in (0, M*beta) and (alpha, 1)."""
 
-    M: int
     b: Fraction
     c: Fraction
     root_small: float
@@ -105,7 +99,7 @@ def char_poly(M: int) -> CharPoly:
     assert f(Fraction(1)) == 2 * beta ** 2 > 0
     # -b > 0, so the larger root adds two positives; Vieta gives the smaller
     large = (-float(b) + sqrt(b * b - 4 * c)) / 2
-    return CharPoly(M, b, c, float(c) / large, large)
+    return CharPoly(b, c, float(c) / large, large)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +166,6 @@ class TwoBlockTable:
     alternating-word value.
     """
 
-    M: int
     P: int
     Q: int
     sigma: tuple[tuple[Fraction, ...], ...]
@@ -221,7 +214,7 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     v = vn_single_recursion(M, P + Q)
     delta = [[v[p + q] - u[p][q] for q in range(Q + 1)] for p in range(P + 1)]
     freeze = lambda grid: tuple(tuple(row) for row in grid)
-    return TwoBlockTable(M, P, Q, freeze(sigma), freeze(sigma_prime),
+    return TwoBlockTable(P, Q, freeze(sigma), freeze(sigma_prime),
                          freeze(u), freeze(w), freeze(delta))
 
 
@@ -240,7 +233,6 @@ class PolyPQ:
     """Certificate pair: P with P(1) = 0 and vanishing low-order terms, and
     Q = P / (1 - x) whose coefficients are the partial sums of P's."""
 
-    M: int
     p_coeffs: tuple[Fraction, ...]
     q_coeffs: tuple[Fraction, ...]
 
@@ -284,7 +276,7 @@ def pq_polynomials(M: int) -> PolyPQ:
         expect = Fraction(comb(M, l)) - 2 * beta * sum(comb(M, k) for k in range(l, M + 1))
         assert q_coeffs[l] == expect
     assert q_coeffs[M] == 1 - 2 * beta
-    return PolyPQ(M, tuple(p_coeffs), tuple(q_coeffs))
+    return PolyPQ(tuple(p_coeffs), tuple(q_coeffs))
 
 
 def sigma_generating_identity(M: int, p: int, order: int) -> bool:

@@ -117,7 +117,7 @@ def test_cm(monkeypatch, capsys):
     c = float(out.strip().splitlines()[1].split(",")[1])
     assert abs(c - 4 / 3) < 1e-9
     monkeypatch.setattr(cli, "growth_constant",
-                        lambda M, tol: GrowthConstant(M, 1.5, 1.5 + 2 * tol, tol))
+                        lambda M, tol: GrowthConstant(1.5, 1.5 + 2 * tol))
     assert run(capsys, "cm", "--M", "2")[0] == 1
     monkeypatch.undo()
     # below 1e-12 the bisection cannot split adjacent floats and would not end
@@ -295,3 +295,20 @@ def test_out_to_an_unwritable_path_exits_two(tmp_path, capsys, argv):
         assert captured.out == ""
         assert captured.err.startswith("wordseen: cannot write output: ")
         assert captured.err.count("\n") == 1
+
+
+def test_unwritable_out_is_refused_before_the_suite_runs(monkeypatch, tmp_path,
+                                                         capsys):
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return sweeps.SweepResult("fake")
+
+    monkeypatch.setattr(sweeps, "sweep_max_word", fake)
+    missing = tmp_path / "no" / "such"
+    assert run_error("verify", "thm1a", "--n", "12",
+                     "--out", str(missing / "r.txt")) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("wordseen: cannot write output: ")
+    assert list(tmp_path.iterdir()) == []

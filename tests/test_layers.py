@@ -4,11 +4,13 @@ The benchmark's per-layer tracer finds every function it wraps:
 `perfbench/layers.py` wraps the package functions named in LAYERS when a
 run is traced (`--trace 1`).  A rename or deletion in the package would
 only show there, so every entry is resolved here.  And the exact layers
-(core, exactprob) import nothing from the simulation layer.
+(core, exactprob) import nothing from the simulation layer.  The package
+namespace holds only `__version__`: every name is imported from its module.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,18 @@ def test_exact_layers_do_not_import_montecarlo(module):
     path = LAYERS_PY.parents[1] / "src" / "wordseen" / f"{module}.py"
     imported = _imported_modules(path)
     assert imported and not any("montecarlo" in name.split(".") for name in imported)
+
+
+def test_package_holds_only_the_version():
+    """A second, flat import path cannot grow back in __init__.py, and its
+    __version__, which perfbench records with every result, is pyproject's."""
+    root = LAYERS_PY.parents[1]
+    body = ast.parse((root / "src" / "wordseen" / "__init__.py").read_text()).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    doc, version = body
+    assert isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
+    assert [target.id for target in version.targets] == ["__version__"]
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)",
+                        (root / "pyproject.toml").read_text(), re.M | re.S)
+    declared = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+    assert ast.literal_eval(version.value) == declared.group(1)

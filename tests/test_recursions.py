@@ -54,6 +54,17 @@ def test_by_start_rows(M):
         assert t.v[n - 1] / 2 == exact_seen_probability(w, M, first_gap=1)
 
 
+@pytest.mark.parametrize("M, n_max", [(2, 12), (3, 12), (4, 12), (5, 8)])
+def test_vprime_is_the_share_starting_at_the_window_end(M, n_max):
+    """v'_n is the probability that the leftmost embedding starts at
+    position M: v_n less the automaton value with the first hit capped at
+    M - 1."""
+    t = vn_pair_recursion(M, n_max)
+    for n in range(n_max + 1):
+        w = BinaryWord.alternating(1, n)
+        assert t.vprime[n] == t.v[n] - exact_seen_probability(w, M, first_gap=M - 1)
+
+
 def test_recursion_matches_engine():
     for M in (2, 3, 4):
         t = vn_pair_recursion(M, 6)
