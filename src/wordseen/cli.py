@@ -33,11 +33,6 @@ from .recursions import u_table, vn_pair_recursion, vn_single_recursion
 from . import sweeps
 
 
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _dec(x) -> str:
     return f"{float(x):.12f}"
 
@@ -112,7 +107,7 @@ def _add_word_flags(sub: argparse.ArgumentParser, required: bool = True) -> None
 
 def _word_from_flags(args) -> BinaryWord | None:
     if args.word is not None:
-        return BinaryWord.from_string(args.word)
+        return BinaryWord(args.word)
     if args.constant is not None:
         return BinaryWord.constant(1, args.constant)
     if args.alternating is not None:
@@ -128,8 +123,8 @@ def _word_from_flags(args) -> BinaryWord | None:
 
 def cmd_vn(args) -> int:
     table = vn_pair_recursion(args.M, args.N + 1)
-    rows = [{"n": n, "vn": _frac(table.v[n]), "vn_decimal": _dec(table.v[n]),
-             "vnprime": _frac(table.vprime[n]),
+    rows = [{"n": n, "vn": str(table.v[n]), "vn_decimal": _dec(table.v[n]),
+             "vnprime": str(table.vprime[n]),
              "vnprime_decimal": _dec(table.vprime[n]),
              "ratio_next": _dec(table.ratio(n))} for n in range(args.N + 1)]
     _emit(args, rows, {"M": args.M, "N": args.N, "rows": rows})
@@ -150,20 +145,20 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     word = _word_from_flags(args)
     prob = exact_seen_probability(word, args.M, args.p)
-    row = {"word": str(word), "M": args.M, "p": _frac(args.p),
-           "probability": _frac(prob), "decimal": _dec(prob)}
+    row = {"word": str(word), "M": args.M, "p": str(args.p),
+           "probability": str(prob), "decimal": _dec(prob)}
     agrees = True
     if args.oracle:
         oracle = exhaustive_seen_probability(word, args.M, args.p)
         agrees = prob == oracle
-        row.update(oracle=_frac(oracle), agrees=agrees)
+        row.update(oracle=str(oracle), agrees=agrees)
     _emit(args, [row])
     return 0 if agrees else 1
 
 
 def cmd_maxword(args) -> int:
     out = max_word_probability(args.n, args.M)[-1]
-    _emit(args, [{"n": args.n, "M": args.M, "probability": _frac(out.probability),
+    _emit(args, [{"n": args.n, "M": args.M, "probability": str(out.probability),
                   "decimal": _dec(out.probability),
                   "maximizers": [str(w) for w in out.words]}])
     return 0
@@ -185,9 +180,9 @@ def cmd_twoblock(args) -> int:
     v = vn_single_recursion(args.M, args.p + args.q)[args.p + args.q]
     sandwich = prob <= u <= v
     _emit(args, [{"p": args.p, "q": args.q, "M": args.M,
-                  "probability": _frac(prob), "prob_decimal": _dec(prob),
-                  "u": _frac(u), "u_decimal": _dec(u),
-                  "v": _frac(v), "v_decimal": _dec(v), "sandwich": sandwich}])
+                  "probability": str(prob), "prob_decimal": _dec(prob),
+                  "u": str(u), "u_decimal": _dec(u),
+                  "v": str(v), "v_decimal": _dec(v), "sandwich": sandwich}])
     return 0 if sandwich else 1
 
 
@@ -323,7 +318,7 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         return args.fn(args)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         parser.error(str(err))
     except StateCapExceeded as err:
         parser.exit(2, f"{parser.prog}: resource limit: {err}\n")

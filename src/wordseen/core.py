@@ -23,14 +23,21 @@ import numpy as np
 Bits = tuple[int, ...]
 
 
-def _coerce_bits(raw: Union[str, Iterable[int]], what: str) -> Bits:
+def _coerce_bits(raw: Union[str, Iterable[int]]) -> Bits:
     # each raw letter is checked before int() could truncate it: 1.0 passes, 0.5 does not
     letters = tuple(raw)
     allowed = ("0", "1") if isinstance(raw, str) else (0, 1)
     for b in letters:
         if b not in allowed:
-            raise ValueError(f"{what} letters must be 0 or 1, got {b!r}")
+            raise ValueError(f"word letters must be 0 or 1, got {b!r}")
     return tuple(map(int, letters))
+
+
+def _check_prob(p, name: str = "p"):
+    """Refuse a letter probability outside (0, 1); return it unchanged."""
+    if not 0 < p < 1:
+        raise ValueError(f"{name} must be strictly between 0 and 1, got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,7 @@ class BinaryWord:
     letters: Bits
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", _coerce_bits(self.letters, "word"))
+        object.__setattr__(self, "letters", _coerce_bits(self.letters))
 
     @classmethod
     def constant(cls, letter: int, n: int) -> "BinaryWord":
@@ -62,10 +69,6 @@ class BinaryWord:
         if p < 0 or q < 0:
             raise ValueError(f"block lengths must be >= 0, got ({p}, {q})")
         return cls((1,) * p + (0,) * q)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BinaryWord":
-        return cls(_coerce_bits(s, "word"))
 
     @property
     def n(self) -> int:
@@ -94,7 +97,7 @@ PrefixLike = Union[str, Sequence[int], np.ndarray]
 def as_word(w: WordLike) -> BinaryWord:
     if isinstance(w, BinaryWord):
         return w
-    return BinaryWord(_coerce_bits(w, "word"))
+    return BinaryWord(w)
 
 
 def as_prefix(y: PrefixLike) -> np.ndarray:
@@ -158,9 +161,6 @@ class Embedding:
                 raise ValueError(
                     f"gap {gap} at position {m} outside [1, {self.M}]")
             prev = m
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 # ---------------------------------------------------------------------------

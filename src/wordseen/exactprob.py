@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (BinaryWord, WordLike, _check_window, _frontier_tables, _prefix_blocks,
-                   _step, as_word, batch_seen)
+from .core import (BinaryWord, WordLike, _check_prob, _check_window, _frontier_tables,
+                   _prefix_blocks, _step, as_word, batch_seen)
 
 Rational = Union[Fraction, int, str]
 
@@ -34,12 +34,6 @@ _WORD_BITS = 20
 
 class StateCapExceeded(RuntimeError):
     """Raised when subset-state discovery outgrows _STATE_CAP."""
-
-
-def _check_prob(p: Fraction) -> Fraction:
-    if not 0 < p < 1:
-        raise ValueError(f"letter probability must be strictly between 0 and 1, got {p}")
-    return p
 
 
 @dataclass(frozen=True)

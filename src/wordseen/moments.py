@@ -139,7 +139,6 @@ class RenewalTable:
     """u_n = P(the two walks meet at step n), the renewal sequence r_n it
     drives, and the partial sums V_n = sum_{k<=n} r_k."""
 
-    M: int
     u: tuple[Fraction, ...]   # u[0] unused placeholder 1, meaningful from 1
     r: tuple[Fraction, ...]
     V: tuple[Fraction, ...]
@@ -195,17 +194,12 @@ def renewal_table(M: int, N: int) -> RenewalTable:
         u.append(Fraction(U[n], scale))
         r.append(Fraction(R[n], scale))
         V.append(Fraction(W, scale))
-    return RenewalTable(M, tuple(u), tuple(r), tuple(V))
+    return RenewalTable(tuple(u), tuple(r), tuple(V))
 
 
-def random_word_second_moment(M: int, n: int, table: RenewalTable | None = None) -> Fraction:
+def random_word_second_moment(M: int, n: int) -> Fraction:
     """E(N_n(X)^2) for a uniformly random word X: (M/2)^(2n) * V_n."""
-    if table is None:
-        table = renewal_table(M, n)
-    if table.M != M or table.N < n:
-        raise ValueError(f"renewal table (M={table.M}, N={table.N}) does not cover "
-                         f"M={M}, n={n}")
-    return Fraction(M, 2) ** (2 * n) * table.V[n]
+    return Fraction(M, 2) ** (2 * n) * renewal_table(M, n).V[n]
 
 
 def visits_moment_bruteforce(M: int, n: int) -> Fraction:

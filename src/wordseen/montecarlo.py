@@ -18,6 +18,7 @@ from .core import (
     BinaryWord,
     PrefixLike,
     WordLike,
+    _check_prob,
     _check_window,
     as_prefix,
     as_word,
@@ -47,17 +48,10 @@ class RngConfig:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_p(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not 0 < p < 1:
-        raise ValueError(f"{name} must be strictly between 0 and 1, got {p}")
-    return p
-
-
 def sample_sequence(p: float, length: int, gen: np.random.Generator) -> np.ndarray:
     """One iid 0/1 prefix with P(letter = 1) = p, as a uint8 array.  A length
     over _CHUNK_CELLS is refused before the draw."""
-    _check_p(p)
+    _check_prob(float(p))
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     if length > _CHUNK_CELLS:
@@ -104,7 +98,7 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
     """Estimate P(word is M-seen) from `trials` independent prefixes."""
     w = as_word(word)
     _check_window(M)
-    _check_p(p)
+    _check_prob(float(p))
     gen = rng.stream(0)
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +127,8 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
     """Estimate P(a random length-n word drawn at p_x is M-seen in an
     independent sequence drawn at p_y)."""
     _check_window(M)
-    _check_p(p_x, "p_x")
-    _check_p(p_y, "p_y")
+    _check_prob(float(p_x), "p_x")
+    _check_prob(float(p_y), "p_y")
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     gen_x = rng.stream(1)
@@ -245,8 +239,8 @@ def plan_parameter_path(p: float, p_target: float) -> list[CouplingStage]:
     jump to the nearest endpoint, then finish with one exact stage.  The
     word window after k stages is 3^k.
     """
-    _check_p(p)
-    _check_p(p_target, "p_target")
+    _check_prob(float(p))
+    _check_prob(float(p_target), "p_target")
     stages: list[CouplingStage] = []
     cur = p
     for _ in range(_MAX_STAGES):

@@ -11,11 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, sqrt
 from typing import Iterable
 
+import numpy as np
+
 from .core import BinaryWord, WordLike, as_word
 from .exactprob import exact_seen_probability
+
+# v_n has n*M bits of denominator, so a table to N holds about N^2*M/2 bits
+# and costs as many bit operations: the v_n tables refuse N^2*M over this.
+_VN_BUDGET = 1 << 24
+# Largest p or q of a two-block grid.
+_GRID_MAX = 40
 
 
 def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
@@ -29,9 +38,14 @@ def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
-def _check_n(N: int) -> None:
+def _check_n(M: int, N: int) -> None:
+    """Refuse a negative table size, or a table to N over _VN_BUDGET, before
+    alpha_beta builds 2^M."""
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
+    if N * N * M > _VN_BUDGET:
+        raise ValueError(f"v_n table to n = {N} at M = {M} is over the budget: "
+                         f"N^2*M = {N * N * M} > {_VN_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,8 @@ def vn_pair_recursion(M: int, N: int) -> VnTable:
     v_n = alpha*v_{n-1} + (alpha - M*beta)*v'_{n-1}
     v'_n = beta*v_{n-1} + (M-1)*beta*v'_{n-1}
     """
+    _check_n(M, N)
     alpha, beta = alpha_beta(M)
-    _check_n(N)
     v = [Fraction(1)]
     vprime = [Fraction(0)]
     for _ in range(N):
@@ -66,8 +80,8 @@ def vn_pair_recursion(M: int, N: int) -> VnTable:
 def vn_single_recursion(M: int, N: int) -> list[Fraction]:
     """Same v_n by the uncoupled second-order recursion
     v_{n+1} = (alpha + (M-1)*beta)*v_n - beta*(M - 2*alpha)*v_{n-1}."""
+    _check_n(M, N)
     alpha, beta = alpha_beta(M)
-    _check_n(N)
     v = [Fraction(1), alpha]
     while len(v) < N + 1:
         v.append((alpha + (M - 1) * beta) * v[-1] - beta * (M - 2 * alpha) * v[-2])
@@ -185,7 +199,7 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     alpha, beta = alpha_beta(M)
     if P < 0 or Q < 0:
         raise ValueError(f"grid bounds must be >= 0, got ({P}, {Q})")
-    if max(P, Q) > 40:
+    if max(P, Q) > _GRID_MAX:
         raise ValueError(f"grid bound {max(P, Q)} exceeds the desk-scale budget")
 
     sigma = [_sigma_row(M, p, Q) for p in range(P + 1)]
@@ -237,22 +251,12 @@ class PolyPQ:
     q_coeffs: tuple[Fraction, ...]
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def pq_polynomials(M: int) -> PolyPQ:
     """P(x) = (1+x)^M [1-(alpha-beta)x] - 1 - (M+beta-alpha)x + x^2(M-2alpha)
     and its cofactor Q, with the structural identities asserted."""
     alpha, beta = alpha_beta(M)
     binom = [Fraction(comb(M, k)) for k in range(M + 1)]
-    p_coeffs = _poly_mul(binom, [Fraction(1), -(alpha - beta)])
+    p_coeffs = np.convolve(binom, [Fraction(1), -(alpha - beta)])  # object dtype: exact
     p_coeffs[0] -= 1
     p_coeffs[1] -= M + beta - alpha
     p_coeffs[2] += M - 2 * alpha
@@ -264,12 +268,8 @@ def pq_polynomials(M: int) -> PolyPQ:
         expect = Fraction(comb(M, k)) - (alpha - beta) * comb(M, k - 1)
         assert p_coeffs[k] == expect
 
-    q_coeffs = []
-    running = Fraction(0)
-    for coeff in p_coeffs[:-1]:
-        running += coeff
-        q_coeffs.append(running)
-    assert running + p_coeffs[-1] == 0  # exact division by (1 - x)
+    q_coeffs = list(accumulate(p_coeffs[:-1]))
+    assert q_coeffs[-1] + p_coeffs[-1] == 0  # exact division by (1 - x)
     # partial-sum identity: for 2 <= l <= M the coefficient of x^l in Q is
     # C(M,l) - 2*beta*sum_{k=l}^M C(M,k), equal to 1 - 2*beta at l = M
     for l in range(2, M + 1):
@@ -290,7 +290,7 @@ def sigma_generating_identity(M: int, p: int, order: int) -> bool:
     base[0] -= 1  # (1+x)^M - 1
     power = [Fraction(1)]
     for _ in range(p):
-        power = _poly_mul(power, base)
+        power = np.convolve(power, base)
     assert all(c == 0 for c in power[:p])  # divisible by x^p
     rhs = [beta ** p * c for c in power[p:]]
 

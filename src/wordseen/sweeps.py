@@ -37,6 +37,7 @@ from .montecarlo import (
     coupling_F,
     coupling_chain_demo,
     coupling_witness,
+    estimate_seen_probability,
     plan_parameter_path,
     red_grid,
     sample_sequence,
@@ -224,7 +225,7 @@ def worked_four_letter_example() -> SweepResult:
     """The worked W=(1,1,0,0), M=2 example: spacings (1,1,1,3) after 110110
     and the two-letter extensions that decide visibility."""
     res = SweepResult("four-letter worked example")
-    word = BinaryWord.from_string("1100")
+    word = BinaryWord("1100")
     tau = tuple(np.diff(hitting_times(word, "110110")[0], prepend=0).tolist())
     if tau != (1, 1, 1, 3):
         res.fail(f"spacings {tau} != (1, 1, 1, 3)")
@@ -245,7 +246,6 @@ def sweep_second_moment() -> SweepResult:
     n_oracle, Ms, n_avg = 4, (2, 3), 6
     res = SweepResult(f"second moments: oracle n <= {n_oracle}, M in {Ms}; "
                       f"random-word identity n <= {n_avg}")
-    table = renewal_table(2, n_avg)
     for M in Ms:
         for n in range(1, n_avg + 1):
             values = {}
@@ -261,11 +261,10 @@ def sweep_second_moment() -> SweepResult:
                 if mean != expected_embeddings(M, n):
                     res.fail(f"M={M}, word {w}: mean embedding count != "
                              f"(M/2)^n")
-            if M == 2:
-                mean = sum(values.values(), Fraction(0)) / 2 ** n
-                expect = random_word_second_moment(2, n, table)
-                if mean != expect:
-                    res.fail(f"n={n}: word-average {mean} != renewal value {expect}")
+            mean = sum(values.values(), Fraction(0)) / 2 ** n
+            expect = random_word_second_moment(M, n)
+            if mean != expect:
+                res.fail(f"M={M}, n={n}: word-average {mean} != renewal value {expect}")
             top = max(values.values())
             winners = {w for w, val in values.items() if val == top}
             consts = {BinaryWord.constant(1, n), BinaryWord.constant(0, n)}
@@ -445,12 +444,11 @@ PANEL = (
 
 
 def mc_panel() -> SweepResult:
-    from .montecarlo import estimate_seen_probability
     trials, seed = 10 ** 5, 20240818
     res = SweepResult(f"Monte Carlo panel, {trials} trials per case")
     passing = 0
     for case, (family, bits, M, p) in enumerate(PANEL):
-        word = BinaryWord.from_string(bits)
+        word = BinaryWord(bits)
         exact = float(exact_seen_probability(word, M, p))
         est = estimate_seen_probability(word, M, float(p), trials,
                                         RngConfig(seed + case))
@@ -505,7 +503,7 @@ SUITES = {
 def run_suite(name: str, **flags) -> SweepResult:
     """Run a suite with the given flags; a flag it does not take is an error."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
     fn_name, accepted = SUITES[name]
     extra = sorted(set(flags) - set(accepted))
     if extra:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from wordseen import cli, exactprob, montecarlo, sweeps
+from wordseen import cli, exactprob, montecarlo, recursions, sweeps
 from wordseen.cli import main
 from wordseen.exactprob import StateCapExceeded
 from wordseen.moments import GrowthConstant
@@ -46,6 +46,21 @@ def test_vn_long_ratio(capsys):
 def test_vn_rejects_window_one():
     assert run_error("vn", "--M", "1", "--N", "3") == 2
     assert run_error("twoblock", "--p", "1", "--q", "1", "--M", "1") == 2
+
+
+def test_vn_over_the_budget_exits_two(monkeypatch, capsys):
+    # N^2*M = 8001^2 * 2 is over the 2^24 budget: refused before alpha_beta
+    # builds 2^M, and so before any row
+    def unreachable(M):
+        raise AssertionError("work started over the budget")
+
+    monkeypatch.setattr(recursions, "alpha_beta", unreachable)
+    assert run_error("vn", "--M", "2", "--N", "8000") == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("wordseen: error:")]
+    assert len(errors) == 1 and "over the budget" in errors[0]
+    with pytest.raises(ValueError, match="over the budget"):
+        recursions.vn_single_recursion(2, 8001)
 
 
 def test_exact_oracle_agrees(capsys):
@@ -312,3 +327,14 @@ def test_unwritable_out_is_refused_before_the_suite_runs(monkeypatch, tmp_path,
     assert calls == []
     assert capsys.readouterr().err.startswith("wordseen: cannot write output: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_key_error_in_a_subcommand_is_not_a_usage_error(monkeypatch):
+    """Only ValueError is a usage error: a KeyError is a bug, and propagates
+    instead of exiting 2."""
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_vn", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["vn", "--M", "2", "--N", "3"])

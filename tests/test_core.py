@@ -46,11 +46,11 @@ def test_word_families():
     assert str(BinaryWord.alternating(1, 5)) == "10101"
     assert str(BinaryWord.alternating(0, 4)) == "0101"
     assert str(BinaryWord.two_block(3, 2)) == "11100"
-    assert str(BinaryWord.from_string("1100").complement()) == "0011"
-    assert BinaryWord.from_string("110100").suffix(3) == BinaryWord.from_string("100")
+    assert str(BinaryWord("1100").complement()) == "0011"
+    assert BinaryWord("110100").suffix(3) == BinaryWord("100")
     assert len(BinaryWord.two_block(0, 0)) == 0
     with pytest.raises(ValueError):
-        BinaryWord.from_string("012")
+        BinaryWord("012")
 
 
 def test_word_letters_must_be_exactly_zero_or_one():
@@ -60,7 +60,7 @@ def test_word_letters_must_be_exactly_zero_or_one():
     with pytest.raises(ValueError, match="^word letters must be 0 or 1, got 0.5$"):
         BinaryWord((0.5, 1.9))
     with pytest.raises(ValueError, match="got '2'"):
-        BinaryWord.from_string("012")
+        BinaryWord("012")
     with pytest.raises(ValueError, match="got 2"):
         BinaryWord((0, 2))
 
@@ -82,7 +82,7 @@ def test_embedding_validation():
 def test_two_letter_extensions_decide():
     """After 110110 the word 1100 is still open: any extension with a zero
     settles it, a double one kills it."""
-    w = BinaryWord.from_string("1100")
+    w = BinaryWord("1100")
     assert np.diff(hitting_times(w, "110110"), prepend=0).tolist() == [[1, 1, 1, 3]]
     assert is_m_seen(w, "11011000", 2)
     assert is_m_seen(w, "11011001", 2)
@@ -324,7 +324,7 @@ def test_hitting_times_raise_on_a_letter_never_hit():
 def hitting_times_oracle(word, ys):
     """Oracle: one scan of the whole (R, L) block per letter, sharing no code
     with the packed kernel of hitting_times."""
-    w = BinaryWord.from_string(word) if isinstance(word, str) else word
+    w = BinaryWord(word) if isinstance(word, str) else word
     if not (isinstance(ys, np.ndarray) and ys.ndim == 2):
         ys = as_prefix(ys)[None]
     R, L = ys.shape

@@ -44,10 +44,10 @@ def test_general_bias():
     # single letter 1: P = 1 - (1-p)^M
     p = Fraction(1, 3)
     for M in (1, 2, 3):
-        got = exact_seen_probability(BinaryWord.from_string("1"), M, p)
+        got = exact_seen_probability(BinaryWord("1"), M, p)
         assert got == 1 - (1 - p) ** M
     # complement symmetry in p
-    w = BinaryWord.from_string("1101")
+    w = BinaryWord("1101")
     assert exact_seen_probability(w, 2, p) == exact_seen_probability(
         w.complement(), 2, 1 - p)
     # at p = 1/2 a word and its complement tie, with or without the first
@@ -162,7 +162,7 @@ def test_exact_values_pinned():
 
 @pytest.mark.parametrize("word, M, size", [
     (BinaryWord.alternating(1, 32), 8, 475),
-    (BinaryWord.from_string("10" * 11), 12, 497),
+    (BinaryWord("10" * 11), 12, 497),
     (BinaryWord.constant(1, 1), 15000, 15002),
 ])
 def test_pruned_automaton_sizes(word, M, size):
@@ -184,7 +184,7 @@ def test_long_alternating_word_equals_recursion():
 def test_backward_pass_refuses_a_cycle():
     states = ("a", "b", ACCEPT, DEAD)
     transitions = ((1, 2), (0, 3), (2, 2), (3, 3))
-    auto = ProbAutomaton(BinaryWord.from_string("1"), 2, states, transitions)
+    auto = ProbAutomaton(BinaryWord("1"), 2, states, transitions)
     with pytest.raises(ValueError, match="cycle"):
         auto.seen_probability(Fraction(1, 2))
 

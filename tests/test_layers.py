@@ -3,7 +3,8 @@
 The benchmark's per-layer tracer finds every function it wraps:
 `perfbench/layers.py` wraps the package functions named in LAYERS when a
 run is traced (`--trace 1`).  A rename or deletion in the package would
-only show there, so every entry is resolved here.  And the exact layers
+only show there, so every entry is resolved here, and one traced pass
+reads every record field its counters read.  And the exact layers
 (core, exactprob) import nothing from the simulation layer.  The package
 namespace holds only `__version__`: every name is imported from its module.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wordseen import sweeps
+from wordseen import cli, sweeps
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -35,6 +36,33 @@ def test_every_layer_name_resolves():
         if not callable(getattr(owner, name, None)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_traced_commands_feed_every_counter(tmp_path):
+    """The tracer's counters also read record fields: ProbAutomaton.size,
+    .word and .M, TwoBlockTable.P and .Q, RenewalTable.N, the estimates'
+    trials and SweepResult.ok.  One traced pass over commands that reach
+    each of them fails on a field the package no longer has."""
+    layers = _load_layers()
+    tracer = layers.Tracer()
+    commands = ["exact --word 10 --M 2 --oracle", "maxword --n 3 --M 2",
+                "twoblock --p 1 --q 1 --M 2",
+                "simulate --word 10 --M 2 --trials 100",
+                "simulate --p-x 1/2 --p-y 1/2 --n 2 --M 2 --trials 100",
+                "verify thm4"]
+    tracer.install()
+    try:
+        for i, line in enumerate(commands):
+            assert cli.main(line.split() + ["--out", str(tmp_path / f"{i}.out")]) == 0
+    finally:
+        tracer.uninstall()
+    assert dict(tracer.errors) == {}
+    metrics = layers.summarize(tracer.spans, tracer.counts, tracer.errors)
+    counters = ["exactprob.states", "exactprob.dp_state_steps",
+                "exactprob.oracle_prefixes", "exactprob.sweep_words",
+                "montecarlo.trials", "montecarlo.kernel_cells",
+                "recursions.u_cells", "moments.renewal_terms"]
+    assert [key for key in counters if not metrics[key] > 0] == []
 
 
 def test_every_verify_suite_is_one_traced_span():

@@ -29,15 +29,15 @@ def test_expected_embeddings():
 
 def test_single_letter_second_moment():
     # N counts ones among the first two letters: E(N^2) = 1/2 + 4/4
-    assert second_moment_exact(BinaryWord.from_string("1"), 2) == Fraction(3, 2)
-    assert second_moment_oracle(BinaryWord.from_string("1"), 2) == Fraction(3, 2)
+    assert second_moment_exact(BinaryWord("1"), 2) == Fraction(3, 2)
+    assert second_moment_oracle(BinaryWord("1"), 2) == Fraction(3, 2)
 
 
 def test_count_oracle_edges():
     # the empty word embeds once in the one empty prefix
     assert embedding_count_moments("", 3) == (1, 1)
     # n*M = 18: four full blocks of prefixes, sums far inside int64
-    w = BinaryWord.from_string("101101")
+    w = BinaryWord("101101")
     assert embedding_count_moments(w, 3) == (expected_embeddings(3, 6),
                                              second_moment_exact(w, 3))
 
@@ -92,8 +92,13 @@ def test_random_word_identity():
     for n in range(1, 7):
         total = sum(second_moment_exact(BinaryWord(w), 2)
                     for w in itertools.product((0, 1), repeat=n))
-        assert total / 2 ** n == random_word_second_moment(2, n, t)
-        assert random_word_second_moment(2, n, t) == t.V[n]
+        assert total / 2 ** n == random_word_second_moment(2, n)
+        assert random_word_second_moment(2, n) == t.V[n]
+    # off M = 2 the renewal value carries the factor (M/2)^(2n)
+    for M, n in itertools.product((3, 4), range(6)):
+        total = sum(second_moment_exact(BinaryWord(w), M)
+                    for w in itertools.product((0, 1), repeat=n))
+        assert total / 2 ** n == random_word_second_moment(M, n)
 
 
 @pytest.mark.parametrize("M,n", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4)])

@@ -54,7 +54,7 @@ def test_cross_estimate_decreases_with_length():
 def test_chunked_draws_match_one_shot(monkeypatch):
     """Trials drawn over many chunks score as one draw of all rows."""
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 50)
-    w = BinaryWord.from_string("1101")
+    w = BinaryWord("1101")
     trials, M = 1003, 3
     got = estimate_seen_probability(w, M, 0.4, trials, RngConfig(17))
     ys = (RngConfig(17).stream(0).random((trials, w.n * M)) < 0.4).astype(np.uint8)

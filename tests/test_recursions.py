@@ -227,7 +227,7 @@ def test_suffix_bounds_name_the_broken_word(monkeypatch, bits, gap):
     tight) its quarter bound.  Its complement shares the values, so its row
     breaks too; no longer word is checked, so no other row reads them, and
     the bound check and the thm1a sweep name the broken word first."""
-    broken = BinaryWord.from_string(bits)
+    broken = BinaryWord(bits)
 
     def perturbed(word, M, first_gap=None):
         value = exact_seen_probability(word, M, first_gap=first_gap)

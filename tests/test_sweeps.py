@@ -1,5 +1,7 @@
-"""The thm3 sweep on core's prefix blocks, and the seeded streams of the
-coupling and red-grid sweeps."""
+"""The thm3 sweep on core's prefix blocks, the seeded streams of the
+coupling and red-grid sweeps, and the suite table."""
+
+import pytest
 
 from wordseen import core, sweeps
 from wordseen.montecarlo import RngConfig, coupling_F, sample_sequence
@@ -80,3 +82,8 @@ def test_red_grid_sweep_prints_prefixes_as_bits(monkeypatch):
     assert not res.ok
     assert res.counterexample == ("word 000110, sequence 000110010110110101, "
                                   "M=3: grid says None, engine says True")
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope'.*'thm1a'"):
+        sweeps.run_suite("nope")
