@@ -263,13 +263,16 @@ def _lanes(rows: np.ndarray) -> np.ndarray:
     """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
     r // 64.  The bits past row R are zero."""
     R, k = rows.shape
-    if R % 64:
-        rows = np.concatenate([rows, np.zeros((-R % 64, k), dtype=rows.dtype)])
+    # rows pad to whole bytes and packed bytes to whole lanes, never to 64 rows
+    if R % 8:
+        rows = np.concatenate([rows, np.zeros((-R % 8, k), dtype=rows.dtype)])
     # byte b of a lane row ORs rows 8b..8b+7, row 8b+j shifted to bit j
     g = rows.reshape(len(rows) // 8, 8, k)
     acc = g[:, 0].copy()
     for j in range(1, 8):
         acc |= g[:, j] << j
+    if len(acc) % 8:
+        acc = np.concatenate([acc, np.zeros((-len(acc) % 8, k), dtype=np.uint8)])
     return np.ascontiguousarray(acc.T).view(np.uint64)
 
 

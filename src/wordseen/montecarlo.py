@@ -3,7 +3,9 @@
 All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
-them with core's lane-packed batch_seen.
+them with core's lane-packed batch_seen in batches of at most _BATCH_CELLS
+letters.  Every 0/1 draw fills its letters through one cache-sized buffer of
+uniforms (_draw), so an estimate holds a few MB whatever `trials` is.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from .core import (
     seen_within,
 )
 
-# Sequence letters drawn and scored per batch.  Estimates draw their trials
-# in row chunks of at most this many letters, so memory stays bounded
-# whatever `trials` is; Generator.random fills rows in order, so the stream
-# and every estimate are the same as for one draw of all rows.  One
-# sample_sequence draw is held to the same budget.
+# Letter budget: the widest single trial an estimate may draw, and the
+# longest sample_sequence.  Wider requests are refused before any draw.
 _CHUNK_CELLS = 1 << 22
+
+# Uniforms per draw piece (2 MB of float64, which fits in cache), and the
+# sequence letters an estimate draws and scores per batch_seen call (one
+# trial at least).  Generator.random fills in order, so the stream and every
+# estimate are the same as for one draw of all letters.
+_BATCH_CELLS = 1 << 18
 
 # Stages plan_parameter_path may plan before giving up.
 _MAX_STAGES = 64
@@ -48,6 +53,18 @@ class RngConfig:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _draw(gen: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
+    """0/1 uint8 letters of the given shape, 1 with chance p: the letters of
+    (gen.random(shape) < p), drawn through one buffer of at most
+    _BATCH_CELLS uniforms."""
+    flat = np.empty(math.prod(shape), dtype=bool)
+    buf = np.empty(min(flat.size, _BATCH_CELLS))
+    for start in range(0, flat.size, _BATCH_CELLS):
+        piece = buf[:flat.size - start]
+        np.less(gen.random(out=piece), p, out=flat[start:start + len(piece)])
+    return flat.view(np.uint8).reshape(shape)
+
+
 def sample_sequence(p: float, length: int, gen: np.random.Generator) -> np.ndarray:
     """One iid 0/1 prefix with P(letter = 1) = p, as a uint8 array.  A length
     over _CHUNK_CELLS is refused before the draw."""
@@ -57,13 +74,14 @@ def sample_sequence(p: float, length: int, gen: np.random.Generator) -> np.ndarr
     if length > _CHUNK_CELLS:
         raise ValueError(f"a prefix of {length} letters is over the budget "
                          f"of {_CHUNK_CELLS}")
-    return (gen.random(length) < p).astype(np.uint8)
+    return _draw(gen, (length,), p)
 
 
 def _estimate_hits(trials: int, M: int, width: int, draw: Callable) -> tuple[float, float]:
     """Seen rate and its binomial standard error over `trials` trials of
     `width` sequence letters; draw(rows) gives the next rows' (words, ys) in
-    chunks of at most _CHUNK_CELLS letters, refusing a wider trial first."""
+    batches of at most _BATCH_CELLS letters (one trial at least).  A trial
+    wider than _CHUNK_CELLS is refused first."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if width == 0:  # the empty word is seen in every trial; nothing is drawn
@@ -71,7 +89,7 @@ def _estimate_hits(trials: int, M: int, width: int, draw: Callable) -> tuple[flo
     if width > _CHUNK_CELLS:
         raise ValueError(f"one trial draws {width} letters, over the budget "
                          f"of {_CHUNK_CELLS}")
-    step = _CHUNK_CELLS // width
+    step = max(1, _BATCH_CELLS // width)
     hits = 0
     for start in range(0, trials, step):
         hits += int(batch_seen(*draw(min(step, trials - start)), M).sum())
@@ -102,7 +120,7 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
     gen = rng.stream(0)
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.uint8([w.letters]), (gen.random((rows, w.n * M)) < p).astype(np.uint8)
+        return np.uint8([w.letters]), _draw(gen, (rows, w.n * M), p)
 
     est, stderr = _estimate_hits(trials, M, w.n * M, draw)
     return SeenEstimate(str(w), M, float(p), trials, est, stderr, rng.seed)
@@ -135,8 +153,7 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
     gen_y = rng.stream(2)
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return ((gen_x.random((rows, n)) < p_x).astype(np.uint8),
-                (gen_y.random((rows, n * M)) < p_y).astype(np.uint8))
+        return _draw(gen_x, (rows, n), p_x), _draw(gen_y, (rows, n * M), p_y)
 
     est, stderr = _estimate_hits(trials, M, n * M, draw)
     return CrossEstimate(M, float(p_x), float(p_y), n, trials, est, stderr, rng.seed)
@@ -210,7 +227,7 @@ def coupling_F(x: PrefixLike, p1: float, gen: np.random.Generator) -> np.ndarray
     out = (sums == 2).astype(np.uint8)
     mixed = sums == 1
     if mixed.any():
-        out[mixed] = (gen.random(int(mixed.sum())) < p1).astype(np.uint8)
+        out[mixed] = _draw(gen, (int(mixed.sum()),), p1)
     return out
 
 

@@ -320,7 +320,15 @@ def sweep_polynomial_certificates() -> SweepResult:
 # renewal: walk-pair surplus facts
 # ---------------------------------------------------------------------------
 
+# Budget on N^2 * M_max: each renewal table costs about N^2 big-integer
+# products, and one is built for every M <= M_max (--M 6 --N 400 fits).
+_RENEWAL_BUDGET = 1 << 20
+
+
 def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
+    if N * N * M_max > _RENEWAL_BUDGET:
+        raise ValueError(f"renewal tables to n = {N} for M <= {M_max} are over "
+                         f"the budget: N^2*M = {N * N * M_max} > {_RENEWAL_BUDGET}")
     c_tol = 1e-7
     res = SweepResult(f"renewal facts M <= {M_max}, n <= {N}")
     for M in range(1, M_max + 1):

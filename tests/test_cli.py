@@ -244,6 +244,25 @@ def test_verify_coupling_over_budget_exits_two(capsys):
             in capsys.readouterr().err)
 
 
+def test_verify_renewal_over_budget_exits_two(monkeypatch, capsys):
+    # N^2*M_max is checked before the first renewal table: 100000^2 * 6 and
+    # 419^2 * 6 are over 2^20, while 418^2 * 6 (and --M 6 --N 400) reach the
+    # tables
+    start = time.perf_counter()
+    assert run_error("verify", "renewal", "--N", "100000") == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("renewal tables to n = 100000 for M <= 6 are over the budget: "
+            "N^2*M = 60000000000 > 1048576" in capsys.readouterr().err)
+
+    def reached(M, N):
+        raise KeyError("renewal table reached")
+
+    monkeypatch.setattr(sweeps, "renewal_table", reached)
+    assert run_error("verify", "renewal", "--M", "6", "--N", "419") == 2
+    with pytest.raises(KeyError, match="renewal table reached"):
+        sweeps.sweep_renewal_facts(6, 418)
+
+
 def test_state_cap_exits_two(monkeypatch, capsys):
     def capped(*args, **kwargs):
         raise StateCapExceeded("automaton for word of length 22, M=12 "

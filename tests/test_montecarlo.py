@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,20 +53,47 @@ def test_cross_estimate_decreases_with_length():
 
 
 def test_chunked_draws_match_one_shot(monkeypatch):
-    """Trials drawn over many chunks score as one draw of all rows."""
-    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 50)
+    """Trials drawn over many buffer pieces and batches score as one draw of
+    all rows.  Batch sizes of 7, 50 and 64 letters split a trial's row
+    across pieces and trials across batch_seen calls."""
     w = BinaryWord("1101")
-    trials, M = 1003, 3
-    got = estimate_seen_probability(w, M, 0.4, trials, RngConfig(17))
+    trials, M, n = 1003, 3, 5
     ys = (RngConfig(17).stream(0).random((trials, w.n * M)) < 0.4).astype(np.uint8)
     words = np.tile(np.array(w.letters, dtype=np.uint8), (trials, 1))
-    assert got.estimate == int(batch_seen(words, ys, M).sum()) / trials
-
-    n = 5
-    cross = estimate_x_seen_in_y(M, 0.3, 0.6, n, trials, RngConfig(17))
-    words = (RngConfig(17).stream(1).random((trials, n)) < 0.3).astype(np.uint8)
+    word_hits = int(batch_seen(words, ys, M).sum())
+    xs = (RngConfig(17).stream(1).random((trials, n)) < 0.3).astype(np.uint8)
     ys = (RngConfig(17).stream(2).random((trials, n * M)) < 0.6).astype(np.uint8)
-    assert cross.estimate == int(batch_seen(words, ys, M).sum()) / trials
+    cross_hits = int(batch_seen(xs, ys, M).sum())
+    for cells in (7, 50, 64):
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
+        got = estimate_seen_probability(w, M, 0.4, trials, RngConfig(17))
+        assert got.estimate == word_hits / trials
+        cross = estimate_x_seen_in_y(M, 0.3, 0.6, n, trials, RngConfig(17))
+        assert cross.estimate == cross_hits / trials
+        for length in (0, 1, cells - 1, cells, cells + 1, 3 * cells + 2):
+            seq = sample_sequence(0.45, length, RngConfig(5).stream(length))
+            want = RngConfig(5).stream(length).random(length) < 0.45
+            assert seq.dtype == np.uint8 and (seq == want).all()
+
+
+def test_estimate_memory_is_bounded():
+    """Letters are drawn through a cache-sized buffer and scored in small
+    batches: the traced peak does not grow with `trials`, and one trial of
+    2^20 letters holds about its packed lanes and reach array."""
+    cases = (
+        (8, lambda: estimate_seen_probability("1100011101001010", 4, 0.5,
+                                              200_000, RngConfig(1))),
+        (8, lambda: estimate_x_seen_in_y(3, 0.4, 0.6, 8, 200_000, RngConfig(1))),
+        (40, lambda: estimate_seen_probability("1", 2 ** 20, 0.5, 2, RngConfig(1))),
+    )
+    for limit_mb, estimate in cases:
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb << 20
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,6 +136,21 @@ def test_batch_seen_across_lane_boundaries(R):
         for word in (zeros[:1], np.ones((1, n), dtype=np.uint8), mixed[:1]):
             ys = gen.integers(0, 2, (R, L), dtype=np.uint8)
             assert (batch_seen(word, ys, M) == check(np.tile(word, (R, 1)), ys, M)).all()
+
+
+def test_lanes_match_a_bit_loop():
+    """Row r is bit r % 64 of lane r // 64, padding bits are zero, and a
+    batch of fewer than 64 rows packs into one lane per column."""
+    gen = np.random.default_rng(9)
+    for R in (1, 7, 8, 63, 64, 65, 130):
+        rows = gen.integers(0, 2, (R, 11), dtype=np.uint8)
+        want = np.zeros((11, -(-R // 64)), dtype=np.uint64)
+        for r in range(R):
+            for c in range(11):
+                want[c, r // 64] |= np.uint64(rows[r, c]) << np.uint64(r % 64)
+        got = core._lanes(rows)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert (got == want).all()
 
 
 def test_batch_seen_is_cores_kernel():
