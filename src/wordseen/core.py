@@ -124,7 +124,7 @@ def _check_window(M: int) -> None:
 # The exhaustive scans (both oracles, the thm3 sweep) read all 2^L prefixes of
 # L = n*M letters, _BLOCK_ROWS at a time, so memory stays bounded at the budget.
 _PREFIX_BITS = 20
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 12
 
 
 def _prefix_blocks(L: int) -> Iterator[np.ndarray]:

@@ -22,6 +22,14 @@ from .core import WordLike, _check_window, _prefix_blocks, as_word, count_embedd
 _PAIR_BUDGET = 4 * 10 ** 6
 # Series terms, and ratio steps, growth_constant may take before giving up.
 _MAX_TERMS = 200_000
+# The float series starts at _FIRST_TERMS terms and grows _MORE_TERMS at a
+# time until every verdict settles: term n costs about n*M^2 flops, so a step
+# that doubled the series could build twice the terms it reads.
+_FIRST_TERMS = 65
+_MORE_TERMS = 32
+# Largest window growth_constant takes.  The terms it needs grow with M, so
+# the series costs about N^2 M^2: M = 24 builds 3,457 rows in about 2.4 s.
+_GROWTH_MAX_M = 24
 
 
 def expected_embeddings(M: int, n: int) -> Fraction:
@@ -238,15 +246,20 @@ class GrowthConstant:
 def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     """Locate c_M two independent ways and package both values.
 
-    Bisection brackets U(x) = 2 rigorously: the partial sum is a certain
-    lower bound for U(x) and adding the geometric tail u_1 x^(N+1)/(1-x)
-    (u_n is decreasing) gives an upper bound; N grows until every verdict
-    is unambiguous.  The ratio route iterates V_{n+1}/V_n, whose steps
+    Bisection brackets U(x) = 2 rigorously: the partial sum over the N terms
+    built is a certain lower bound for U(x), and adding the geometric tail
+    u_(N-1) x^N/(1-x) gives an upper bound, because u_n is nonincreasing:
+    u_n = ||P(J_n = .)||_2^2 and convolving with the step law cannot raise
+    the l2 norm (Young's inequality).  N grows until every verdict is
+    unambiguous.  The ratio route iterates V_{n+1}/V_n, whose steps
     Delta_n shrink geometrically, until the tail estimate
     |Delta_n| q/(1-q) with q = Delta_n/Delta_(n-1) drops below tol/10, and
     reports the ratio plus that tail.
     """
     _check_window(M)
+    if M > _GROWTH_MAX_M:
+        raise ValueError(f"growth constant for M = {M} is over the budget "
+                         f"of M <= {_GROWTH_MAX_M}")
     # below 1e-12 the bisection cannot split adjacent floats near x = 1/c_M
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tolerance must be in [1e-12, 1), got {tol}")
@@ -259,8 +272,7 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
             row = next(rows)
             u.append(float(_left_sum(row * row)))
 
-    extend(257)
-    u1 = u[1]
+    extend(_FIRST_TERMS)
 
     def verdict(x: float) -> int:
         # +1 if U(x) > 2, -1 if U(x) < 2, growing the series as needed
@@ -270,16 +282,16 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
             for val in u:
                 partial += val * xn
                 xn *= x
-            tail = u1 * xn / (1.0 - x)
+            tail = u[-1] * xn / (1.0 - x)
             if partial > 2.0:
                 return 1
             if partial + tail < 2.0:
                 return -1
-            if 2 * len(u) > _MAX_TERMS:
+            if len(u) + _MORE_TERMS > _MAX_TERMS:
                 raise RuntimeError(
                     f"series for U(x) at x={x} did not settle within "
                     f"{_MAX_TERMS} terms")
-            extend(2 * len(u) + 1)
+            extend(len(u) + _MORE_TERMS)
 
     lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2; U(x) -> infinity as x -> 1
     while verdict(hi) < 0:

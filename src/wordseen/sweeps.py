@@ -23,6 +23,7 @@ from .core import (
 )
 from .exactprob import _check_word_length, exact_seen_probability, max_word_probability
 from .moments import (
+    _GROWTH_MAX_M,
     embedding_count_moments,
     expected_embeddings,
     renewal_table,
@@ -329,6 +330,9 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
     if N * N * M_max > _RENEWAL_BUDGET:
         raise ValueError(f"renewal tables to n = {N} for M <= {M_max} are over "
                          f"the budget: N^2*M = {N * N * M_max} > {_RENEWAL_BUDGET}")
+    if M_max > _GROWTH_MAX_M:
+        raise ValueError(f"growth constants for M <= {M_max} are over the "
+                         f"budget of M <= {_GROWTH_MAX_M}")
     c_tol = 1e-7
     res = SweepResult(f"renewal facts M <= {M_max}, n <= {N}")
     for M in range(1, M_max + 1):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from wordseen import cli, exactprob, montecarlo, recursions, sweeps
+from wordseen import cli, exactprob, moments, montecarlo, recursions, sweeps
 from wordseen.cli import main
 from wordseen.exactprob import StateCapExceeded
 from wordseen.moments import GrowthConstant
@@ -261,6 +261,25 @@ def test_verify_renewal_over_budget_exits_two(monkeypatch, capsys):
     assert run_error("verify", "renewal", "--M", "6", "--N", "419") == 2
     with pytest.raises(KeyError, match="renewal table reached"):
         sweeps.sweep_renewal_facts(6, 418)
+
+
+def test_growth_window_over_budget_exits_two(monkeypatch, capsys):
+    # cm and verify renewal refuse M over 24 before the first walk row or
+    # renewal table: both are patched to raise if reached
+    def reached(*args):
+        raise KeyError("series reached")
+
+    monkeypatch.setattr(moments, "_walk_rows", reached)
+    monkeypatch.setattr(sweeps, "renewal_table", reached)
+    start = time.perf_counter()
+    assert run_error("cm", "--M", "32") == 2
+    assert run_error("cm", "--M", "64") == 2
+    assert run_error("verify", "renewal", "--M", "32") == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "growth constant for M = 32 is over the budget of M <= 24" in err
+    assert "growth constant for M = 64 is over the budget of M <= 24" in err
+    assert "growth constants for M <= 32 are over the budget of M <= 24" in err
 
 
 def test_state_cap_exits_two(monkeypatch, capsys):

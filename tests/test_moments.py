@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
+from wordseen import moments
 from wordseen.core import BinaryWord
 from wordseen.moments import (
+    _left_sum,
     _walk_rows,
     embedding_count_moments,
     expected_embeddings,
@@ -128,7 +130,8 @@ def test_walk_rows_match_scalar_loop(M):
             assert fast.tolist() == slow  # ==, bit for bit, not approx
 
 
-# reprs computed with the rows of scalar_walk_rows
+# reprs computed with the rows of scalar_walk_rows; those at M = 12 and 16
+# with _walk_rows, a u_1 tail bound and a series grown by doubling
 PINNED_GROWTH = {
     (1, 1e-9): ("1.9999999998855849", "2.0"),
     (2, 1e-9): ("1.3333333332311865", "1.3333333333335025"),
@@ -146,6 +149,8 @@ PINNED_GROWTH = {
     (6, 1e-7): ("1.0564365897688517", "1.0564365972103642"),
     (7, 1e-7): ("1.043352788464541", "1.0433527807108887"),
     (8, 1e-7): ("1.0343868867743446", "1.034386889500823"),
+    (12, 1e-9): ("1.0167211037760642", "1.0167211037118455"),
+    (16, 1e-9): ("1.0098819099902647", "1.0098819099041925"),
 }
 
 
@@ -153,6 +158,47 @@ PINNED_GROWTH = {
 def test_growth_constant_bits_pinned(M, tol):
     c = growth_constant(M, tol)
     assert (repr(c.by_bisection), repr(c.by_ratio)) == PINNED_GROWTH[M, tol]
+
+
+def growth_terms(monkeypatch, M, tol=1e-9):
+    """The float terms u_n of every walk row growth_constant(M) builds."""
+    terms = []
+
+    def rows(M, step):
+        for row in _walk_rows(M, step):
+            terms.append(float(_left_sum(row * row)))
+            yield row
+
+    monkeypatch.setattr(moments, "_walk_rows", rows)
+    growth_constant(M, tol)
+    return terms
+
+
+def test_growth_constant_builds_the_rows_it_reads(monkeypatch):
+    # the ratio route stops at n = 503 for M = 8 and the bisection settles
+    # within 545 terms; a series grown by doubling builds 1,031 rows
+    assert len(growth_terms(monkeypatch, 8)) == 545
+
+
+@pytest.mark.parametrize("M", range(1, 17))
+def test_growth_terms_nonincreasing(monkeypatch, M):
+    # the bisection's tail bound u_(N-1) x^N/(1-x) rests on this, in floats
+    terms = growth_terms(monkeypatch, M)
+    assert all(b <= a for a, b in zip(terms, terms[1:]))
+
+
+def test_growth_constant_window_budget(monkeypatch):
+    # a window over the budget is refused before any walk row is built; the
+    # largest window in the budget reaches the rows
+    def no_rows(M, step):
+        raise KeyError("walk rows reached")
+
+    monkeypatch.setattr(moments, "_walk_rows", no_rows)
+    for M in (25, 64):
+        with pytest.raises(ValueError, match=f"M = {M} is over the budget of M <= 24"):
+            growth_constant(M)
+    with pytest.raises(KeyError, match="walk rows reached"):
+        growth_constant(24)
 
 
 def test_growth_constants():

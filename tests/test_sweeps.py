@@ -1,6 +1,8 @@
 """The thm3 sweep on core's prefix blocks, the seeded streams of the
 coupling and red-grid sweeps, and the suite table."""
 
+import tracemalloc
+
 import pytest
 
 from wordseen import core, sweeps
@@ -18,6 +20,18 @@ def test_spacing_sweep_over_small_blocks(monkeypatch):
     assert res.details == ["M=2: all spacing forms match the engine up to n=3",
                            "M=3: all spacing forms match the engine up to n=3",
                            "spacings and both extensions behave as computed by hand"]
+
+
+def test_spacing_sweep_memory_is_bounded():
+    """thm3 --n 5 scans 2^15 prefixes at M = 3 in blocks of 2^12 rows; the
+    traced peak stays near one block's letters, not the whole scan's."""
+    tracemalloc.start()
+    try:
+        assert sweeps.sweep_spacing_equivalences(n_max=5).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_spacing_sweep_names_the_failing_prefix(monkeypatch):
