@@ -189,19 +189,19 @@ def cmd_twoblock(args) -> int:
 def cmd_simulate(args) -> int:
     rng = RngConfig(args.seed)
     word = _word_from_flags(args)
-    if args.p_x is not None or args.p_y is not None:
-        if args.p_x is None or args.p_y is None or args.n is None:
-            raise ValueError("cross estimation needs --p-x, --p-y, and --n")
-        if word is not None:
-            raise ValueError("cross estimation draws its own words; drop the "
-                             "word flags")
+    cross = (args.p_x, args.p_y, args.n)
+    if word is not None:
+        if cross != (None, None, None):
+            raise ValueError("word mode reads no --p-x, --p-y or --n; drop them")
+        est = estimate_seen_probability(word, args.M, float(args.p or 0.5),
+                                        args.trials, rng)
+    elif None in cross:
+        raise ValueError("simulate needs a word flag, or --p-x, --p-y and --n")
+    elif args.p is not None:
+        raise ValueError("cross estimation draws at --p-x and --p-y; drop --p")
+    else:
         est = estimate_x_seen_in_y(args.M, float(args.p_x), float(args.p_y),
                                    args.n, args.trials, rng)
-    elif word is None:
-        raise ValueError("simulate needs a word flag or the cross-mode flags")
-    else:
-        est = estimate_seen_probability(word, args.M, float(args.p), args.trials,
-                                        rng)
     doc = asdict(est)
     _emit(args, [dict(doc, estimate=_dec(est.estimate), stderr=_dec(est.stderr))],
           doc)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Monte Carlo estimate of a seen probability")
     _add_word_flags(p_sim, required=False)
     p_sim.add_argument("--M", type=_positive, required=True)
-    p_sim.add_argument("--p", type=_probability, default=Fraction(1, 2))
+    p_sim.add_argument("--p", type=_probability, help="sequence density (word mode, default 1/2)")
     p_sim.add_argument("--p-x", dest="p_x", type=_probability,
                        help="density of the random word (cross mode)")
     p_sim.add_argument("--p-y", dest="p_y", type=_probability,

@@ -136,11 +136,9 @@ def _prefix_blocks(L: int) -> Iterator[np.ndarray]:
                          f"{_PREFIX_BITS}-bit budget")
 
     def block(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + _BLOCK_ROWS, 1 << L), dtype=np.uint32)
-        rows = np.empty((len(idx), L), dtype=np.uint8)
-        for m in range(L):
-            rows[:, m] = (idx >> m) & 1
-        return rows
+        idx = np.arange(start, min(start + _BLOCK_ROWS, 1 << L), dtype="<u4")
+        return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1,
+                             count=L, bitorder="little")
 
     return map(block, range(0, 1 << L, _BLOCK_ROWS))
 

@@ -176,8 +176,9 @@ def _walk_rows(M: int, step):
 
 
 def _left_sum(terms: np.ndarray):
-    """terms[0] + terms[1] + ... added left to right, as sum() does; np.sum
-    and np.dot add pairwise and would change the last bits."""
+    """terms[0] + terms[1] + ... in left-to-right order, pinned: np.sum and
+    np.dot add pairwise, and float sum() compensates from Python 3.12, so
+    either would change the last bits."""
     return np.cumsum(terms)[-1]
 
 
@@ -194,15 +195,9 @@ def renewal_table(M: int, N: int) -> RenewalTable:
     R = [1]
     for n in range(1, N + 1):
         R.append(sum(U[k] * R[n - k] for k in range(1, n + 1)))
-    u, r, V = [], [], []
-    W = 0  # V_n M^(2n)
-    for n in range(N + 1):
-        W = W * M * M + R[n]
-        scale = M ** (2 * n)
-        u.append(Fraction(U[n], scale))
-        r.append(Fraction(R[n], scale))
-        V.append(Fraction(W, scale))
-    return RenewalTable(tuple(u), tuple(r), tuple(V))
+    W = accumulate(R, lambda w, x: w * M * M + x)  # V_n M^(2n)
+    scales = [M ** (2 * n) for n in range(N + 1)]
+    return RenewalTable(*(tuple(map(Fraction, xs, scales)) for xs in (U, R, W)))
 
 
 def random_word_second_moment(M: int, n: int) -> Fraction:
@@ -236,7 +231,8 @@ class GrowthConstant:
     by_bisection solves U(x) = sum u_n x^n = 2 (the first-meeting generating
     function is F = 1 - 1/U, so U(1/c) = 2 is the same equation) and is the
     value to use; by_ratio tracks the decreasing ratios V_{n+1}/V_n to the
-    same limit and adds their geometric tail.
+    same limit and adds their geometric tail.  Both read the same float u_n,
+    so their agreement checks the ratio route's tail, not the series.
     """
 
     by_bisection: float
@@ -244,7 +240,7 @@ class GrowthConstant:
 
 
 def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
-    """Locate c_M two independent ways and package both values.
+    """Locate c_M two ways from one float series u_n and package both values.
 
     Bisection brackets U(x) = 2 rigorously: the partial sum over the N terms
     built is a certain lower bound for U(x), and adding the geometric tail
@@ -264,15 +260,8 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tolerance must be in [1e-12, 1), got {tol}")
 
-    rows = _walk_rows(M, 1.0 / M)
-    u: list[float] = []
-
-    def extend(size: int) -> None:
-        while len(u) < size:
-            row = next(rows)
-            u.append(float(_left_sum(row * row)))
-
-    extend(_FIRST_TERMS)
+    terms = (float(_left_sum(row * row)) for row in _walk_rows(M, 1.0 / M))
+    u = list(islice(terms, _FIRST_TERMS))
 
     def verdict(x: float) -> int:
         # +1 if U(x) > 2, -1 if U(x) < 2, growing the series as needed
@@ -291,7 +280,7 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
                 raise RuntimeError(
                     f"series for U(x) at x={x} did not settle within "
                     f"{_MAX_TERMS} terms")
-            extend(len(u) + _MORE_TERMS)
+            u.extend(islice(terms, _MORE_TERMS))
 
     lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2; U(x) -> infinity as x -> 1
     while verdict(hi) < 0:
@@ -305,27 +294,21 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     by_bisection = 2.0 / (lo + hi)
 
     # ratio route: V_{n+1}/V_n decreases to c_M with geometric steps
-    r = [1.0]
-    V = [1.0]
-    ratio = delta = None
-    by_ratio = None
-    n = 0
-    while by_ratio is None:
-        n += 1
-        if n > _MAX_TERMS:
-            raise RuntimeError(f"ratio iteration did not settle within {_MAX_TERMS} steps")
-        extend(n + 1)
+    r, V, ratios = [1.0], [1.0], []
+    for n in range(1, _MAX_TERMS + 1):
+        if len(u) == n:
+            u.append(next(terms))
         r.append(float(_left_sum(np.array(u[1:n + 1]) * r[n - 1::-1])))
         V.append(V[-1] + r[-1])
-        prev_ratio, ratio = ratio, V[-1] / V[-2]
-        if prev_ratio is None:
-            continue
-        prev_delta, delta = delta, ratio - prev_ratio
-        if prev_delta is None:
-            continue
-        q = delta / prev_delta if prev_delta else 0.0
-        if 0 <= q < 1 and abs(delta) * q / (1 - q) < tol / 10:
-            by_ratio = ratio + delta * q / (1 - q)
+        ratios.append(V[-1] / V[-2])
+        if n >= 3:
+            delta, prev_delta = ratios[-1] - ratios[-2], ratios[-2] - ratios[-3]
+            q = delta / prev_delta if prev_delta else 0.0
+            if 0 <= q < 1 and abs(delta) * q / (1 - q) < tol / 10:
+                by_ratio = ratios[-1] + delta * q / (1 - q)
+                break
+    else:
+        raise RuntimeError(f"ratio iteration did not settle within {_MAX_TERMS} steps")
 
     out = GrowthConstant(by_bisection, by_ratio)
     assert out.by_bisection > 1

@@ -170,6 +170,17 @@ def test_simulate_needs_word_or_cross():
     assert run_error("simulate", "--M", "2") == 2
 
 
+def test_simulate_refuses_flags_its_mode_does_not_read(capsys):
+    # word mode reads no --p-x, --p-y or --n, and cross mode reads no --p
+    assert run_error("simulate", "--word", "10", "--M", "2", "--n", "5") == 2
+    assert run_error("simulate", "--word", "10", "--M", "2", "--p-x", "1/2") == 2
+    assert run_error("simulate", "--p-x", "1/2", "--p-y", "1/2", "--n", "3",
+                     "--M", "2", "--p", "1/3") == 2
+    err = capsys.readouterr().err
+    assert err.count("word mode reads no --p-x, --p-y or --n; drop them\n") == 2
+    assert err.count("drop --p\n") == 1
+
+
 def test_couple(capsys):
     code, out = run(capsys, "couple", "--p-x", "0.5", "--p-y", "0.25",
                     "--n", "16", "--trials", "40", "--seed", "1")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from wordseen import core, sweeps
+from wordseen import cli, core, sweeps
 from wordseen.montecarlo import RngConfig, coupling_F, sample_sequence
 
 
@@ -101,3 +101,20 @@ def test_red_grid_sweep_prints_prefixes_as_bits(monkeypatch):
 def test_run_suite_refuses_an_unknown_name():
     with pytest.raises(ValueError, match=r"unknown suite 'nope'.*'thm1a'"):
         sweeps.run_suite("nope")
+
+
+def test_verify_renewal_builds_each_table_once(monkeypatch, capsys):
+    """verify renewal builds one renewal table for each window M = 1..6 and
+    one each for M = 2, 3, whose V_1..V_5 the brute-force surplus moments are
+    held against: 8 tables, not one per (M, n)."""
+    calls = []
+    build = sweeps.renewal_table
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sweeps, "renewal_table", counting)
+    assert cli.main(["verify", "renewal"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == [(M, 100) for M in range(1, 7)] + [(2, 5), (3, 5)]
