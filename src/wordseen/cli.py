@@ -29,7 +29,7 @@ from .exactprob import (
 from .moments import growth_constant
 from .montecarlo import RngConfig, coupling_chain_demo, estimate_seen_probability, \
     estimate_x_seen_in_y
-from .recursions import u_table, vn_pair_recursion, vn_single_recursion
+from .recursions import u_table, vn_pair_recursion
 from . import sweeps
 
 
@@ -177,7 +177,7 @@ def cmd_twoblock(args) -> int:
     word = BinaryWord.two_block(args.p, args.q)
     prob = exact_seen_probability(word, args.M)
     u = table.u[args.p][args.q]
-    v = vn_single_recursion(args.M, args.p + args.q)[args.p + args.q]
+    v = u + table.delta[args.p][args.q]
     sandwich = prob <= u <= v
     _emit(args, [{"p": args.p, "q": args.q, "M": args.M,
                   "probability": str(prob), "prob_decimal": _dec(prob),

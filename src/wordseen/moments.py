@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
-from operator import eq
 
 import numpy as np
 
@@ -20,6 +19,8 @@ from .core import WordLike, _check_window, _prefix_blocks, as_word, count_embedd
 
 # Walk pairs M^(2n) the pair enumerations may visit.
 _PAIR_BUDGET = 4 * 10 ** 6
+# Cells (walk pair, step) visits_moment_bruteforce compares at a time.
+_BLOCK_CELLS = 1 << 20
 # Series terms, and ratio steps, growth_constant may take before giving up.
 _MAX_TERMS = 200_000
 # The float series starts at _FIRST_TERMS terms and grows _MORE_TERMS at a
@@ -179,7 +180,7 @@ def _left_sum(terms: np.ndarray):
     """terms[0] + terms[1] + ... in left-to-right order, pinned: np.sum and
     np.dot add pairwise, and float sum() compensates from Python 3.12, so
     either would change the last bits."""
-    return np.cumsum(terms)[-1]
+    return terms.cumsum()[-1]
 
 
 def renewal_table(M: int, N: int) -> RenewalTable:
@@ -212,11 +213,13 @@ def visits_moment_bruteforce(M: int, n: int) -> Fraction:
     _check_window(M)
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
-    walks = _walk_positions(M, n)
+    walks = np.array(_walk_positions(M, n))
+    rows = max(1, _BLOCK_CELLS // max(walks.size, 1))
     total = 0
-    for a_pos in walks:
-        for b_pos in walks:
-            total += 2 ** sum(map(eq, a_pos, b_pos))
+    for start in range(0, len(walks), rows):
+        # coincidences of a block of walks with every walk
+        z = (walks[start:start + rows, None, :] == walks[None, :, :]).sum(axis=2)
+        total += sum(int(count) << k for k, count in enumerate(np.bincount(z.ravel())))
     return Fraction(total, M ** (2 * n))
 
 
@@ -294,12 +297,12 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     by_bisection = 2.0 / (lo + hi)
 
     # ratio route: V_{n+1}/V_n decreases to c_M with geometric steps
-    r, V, ratios = [1.0], [1.0], []
+    u, r, V, ratios = np.array(u), np.ones(len(u)), [1.0], []
     for n in range(1, _MAX_TERMS + 1):
         if len(u) == n:
-            u.append(next(terms))
-        r.append(float(_left_sum(np.array(u[1:n + 1]) * r[n - 1::-1])))
-        V.append(V[-1] + r[-1])
+            u, r = np.append(u, next(terms)), np.append(r, 1.0)
+        r[n] = r_n = float(_left_sum(u[1:n + 1] * r[n - 1::-1]))
+        V.append(V[-1] + r_n)
         ratios.append(V[-1] / V[-2])
         if n >= 3:
             delta, prev_delta = ratios[-1] - ratios[-2], ratios[-2] - ratios[-3]

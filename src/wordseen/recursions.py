@@ -27,20 +27,25 @@ _VN_BUDGET = 1 << 24
 _GRID_MAX = 40
 
 
-def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
-    """The pair alpha = 1 - 2^-M, beta = 2^-M for a window M >= 2, where
-    alpha - M*beta > 0, which everything in this module needs."""
+def _inv_beta(M: int) -> int:
+    """1/beta = 2^M for a window M >= 2, where alpha - M*beta > 0, which
+    everything in this module needs."""
     if M < 2:
         raise ValueError(f"window M must be >= 2, got {M}")
-    beta = Fraction(1, 2 ** M)
-    alpha = 1 - beta
-    assert alpha - M * beta > 0
-    return alpha, beta
+    A = 1 << M
+    assert A - 1 - M > 0  # 2^M (alpha - M*beta)
+    return A
+
+
+def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
+    """The pair alpha = 1 - 2^-M, beta = 2^-M for a window M >= 2."""
+    beta = Fraction(1, _inv_beta(M))
+    return 1 - beta, beta
 
 
 def _check_n(M: int, N: int) -> None:
     """Refuse a negative table size, or a table to N over _VN_BUDGET, before
-    alpha_beta builds 2^M."""
+    _inv_beta builds 2^M."""
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
     if N * N * M > _VN_BUDGET:
@@ -60,32 +65,43 @@ class VnTable:
         return self.v[n + 1] / self.v[n]
 
 
+def _dyadic(numerators, M: int) -> list[Fraction]:
+    """The n-th numerator over 2^(M*n), for n = 0, 1, 2, ..."""
+    return [Fraction(x, 1 << M * n) for n, x in enumerate(numerators)]
+
+
 def vn_pair_recursion(M: int, N: int) -> VnTable:
     """Fill v/v' by the coupled two-term recursion:
 
     v_n = alpha*v_{n-1} + (alpha - M*beta)*v'_{n-1}
     v'_n = beta*v_{n-1} + (M-1)*beta*v'_{n-1}
+
+    run on the integers V_n = v_n 2^(Mn) and V'_n = v'_n 2^(Mn).
     """
     _check_n(M, N)
-    alpha, beta = alpha_beta(M)
-    v = [Fraction(1)]
-    vprime = [Fraction(0)]
+    A = _inv_beta(M)
+    V, Vp = [1], [0]
     for _ in range(N):
-        prev_v, prev_p = v[-1], vprime[-1]
-        v.append(alpha * prev_v + (alpha - M * beta) * prev_p)
-        vprime.append(beta * prev_v + (M - 1) * beta * prev_p)
-    return VnTable(tuple(v), tuple(vprime))
+        V.append((A - 1) * V[-1] + (A - 1 - M) * Vp[-1])
+        Vp.append(V[-2] + (M - 1) * Vp[-1])
+    return VnTable(tuple(_dyadic(V, M)), tuple(_dyadic(Vp, M)))
+
+
+def _vn_numerators(M: int, N: int) -> list[int]:
+    """V_n = v_n 2^(Mn), n = 0..N, by the single recursion times 2^(M(n+1)):
+    V_{n+1} = (2^M + M - 2) V_n - (M 2^M - 2^(M+1) + 2) V_{n-1}."""
+    _check_n(M, N)
+    A = _inv_beta(M)
+    V = [1, A - 1]
+    while len(V) < N + 1:
+        V.append((A + M - 2) * V[-1] - (M * A - 2 * A + 2) * V[-2])
+    return V[:N + 1]
 
 
 def vn_single_recursion(M: int, N: int) -> list[Fraction]:
     """Same v_n by the uncoupled second-order recursion
     v_{n+1} = (alpha + (M-1)*beta)*v_n - beta*(M - 2*alpha)*v_{n-1}."""
-    _check_n(M, N)
-    alpha, beta = alpha_beta(M)
-    v = [Fraction(1), alpha]
-    while len(v) < N + 1:
-        v.append((alpha + (M - 1) * beta) * v[-1] - beta * (M - 2 * alpha) * v[-2])
-    return v[:N + 1]
+    return _dyadic(_vn_numerators(M, N), M)
 
 
 @dataclass(frozen=True)
@@ -120,15 +136,16 @@ def char_poly(M: int) -> CharPoly:
 # two-block machinery: sigma, u, w, delta
 # ---------------------------------------------------------------------------
 
-def _sigma_row(M: int, p: int, J: int) -> list[Fraction]:
-    """sigma_closed_form(M, p, j) for j = 0..J, its inner sums running in j."""
-    _, beta = alpha_beta(M)
+def _sigma_row(M: int, p: int, J: int) -> list[int]:
+    """2^(Mp) sigma_closed_form(M, p, j) for j = 0..J, an integer, its inner
+    sums running in j."""
+    _inv_beta(M)  # checks the window
     if p < 0 or J < 0:
         raise ValueError(f"indices must be >= 0, got ({p}, {J})")
     inner = [sum(comb(i * M, l) for l in range(p)) for i in range(p + 1)]
     row = []
     for j in range(J + 1):
-        row.append(beta ** p * sum((-1) ** (p - i) * comb(p, i) * s for i, s in enumerate(inner)))
+        row.append(sum((-1) ** (p - i) * comb(p, i) * s for i, s in enumerate(inner)))
         inner = [s + comb(i * M, p + j) for i, s in enumerate(inner)]
     return row
 
@@ -136,7 +153,7 @@ def _sigma_row(M: int, p: int, J: int) -> list[Fraction]:
 def sigma_closed_form(M: int, p: int, j: int) -> Fraction:
     """P(first p spacings all <= M and T_{p+j} > p*M), in closed form:
     beta^p * sum_i sum_l (-1)^(p-i) C(p,i) C(i*M, l), l < p + j."""
-    return _sigma_row(M, p, j)[j]
+    return Fraction(_sigma_row(M, p, j)[j], 1 << M * p)
 
 
 def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
@@ -150,7 +167,7 @@ def sigma_oracle(M: int, p: int, j: int) -> tuple[Fraction, Fraction]:
     integers: a path to T = t weighs 2^-t, and one that overflows weighs
     2^-(p*M) in total.  Independent of the closed form.
     """
-    alpha_beta(M)  # checks the window
+    _inv_beta(M)  # checks the window
     if p < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({p}, {j})")
     horizon = p * M
@@ -189,34 +206,34 @@ class TwoBlockTable:
     delta: tuple[tuple[Fraction, ...], ...]
 
 
-def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
-    """Build the two-block grids from the sigma closed form.
+def _two_block_grids(M: int, P: int, Q: int) -> tuple[list[list[int]], ...]:
+    """sigma, sigma', u, w and delta of u_table, each entry an integer over
+    the one denominator 2^(M(P+Q)).
 
-    sigma' is the exact complement alpha^p - sigma; u is computed through
-    both of its series expressions (one in sigma', one in sigma) and the two
-    must agree entry by entry.
+    Entry (p, q) of each grid is a multiple of 2^-(M(p+q)), so every
+    alpha*x = x - (x >> M) and beta*x = x >> M below drops only zero bits.
     """
-    alpha, beta = alpha_beta(M)
+    A = _inv_beta(M)
     if P < 0 or Q < 0:
         raise ValueError(f"grid bounds must be >= 0, got ({P}, {Q})")
     if max(P, Q) > _GRID_MAX:
         raise ValueError(f"grid bound {max(P, Q)} exceeds the desk-scale budget")
+    K = P + Q
+    alpha_p = [(A - 1) ** p << M * (K - p) for p in range(P + 1)]
+    sigma = [[s << M * (K - p) for s in _sigma_row(M, p, Q)] for p in range(P + 1)]
+    sigma_prime = [[a - s for s in row] for a, row in zip(alpha_p, sigma)]
 
-    sigma = [_sigma_row(M, p, Q) for p in range(P + 1)]
-    sigma_prime = [[alpha ** p - sigma[p][j] for j in range(Q + 1)] for p in range(P + 1)]
-
-    u: list[list[Fraction]] = []
-    w: list[list[Fraction]] = []
+    u, w = [], []
     for p in range(P + 1):
         # alpha^(p+q) + beta*sum_j alpha^(q-j) sigma'_{p,j} and
         # w = sum_j alpha^(q-j) sigma_{p,j} over j = 1..q, one step in q at a time
-        from_prime, w_val = alpha ** p, Fraction(0)
+        from_prime, w_val = alpha_p[p], 0
         u_row, w_row = [], []
         for q in range(Q + 1):
             if q:
-                from_prime = alpha * from_prime + beta * sigma_prime[p][q]
-                w_val = alpha * w_val + sigma[p][q]
-            from_sigma = alpha ** p - beta * w_val
+                from_prime += (sigma_prime[p][q] >> M) - (from_prime >> M)
+                w_val += sigma[p][q] - (w_val >> M)
+            from_sigma = alpha_p[p] - (w_val >> M)
             if from_prime != from_sigma:
                 raise AssertionError(
                     f"u expressions disagree at M={M}, p={p}, q={q}")
@@ -225,21 +242,33 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
         u.append(u_row)
         w.append(w_row)
 
-    v = vn_single_recursion(M, P + Q)
-    delta = [[v[p + q] - u[p][q] for q in range(Q + 1)] for p in range(P + 1)]
-    freeze = lambda grid: tuple(tuple(row) for row in grid)
-    return TwoBlockTable(P, Q, freeze(sigma), freeze(sigma_prime),
-                         freeze(u), freeze(w), freeze(delta))
+    V = _vn_numerators(M, K)
+    delta = [[(V[p + q] << M * (K - p - q)) - u[p][q] for q in range(Q + 1)]
+             for p in range(P + 1)]
+    return sigma, sigma_prime, u, w, delta
 
 
-def delta_operator(M: int, grid, p: int, q: int) -> Fraction:
-    """The mixed difference f_{p+1,q+1} - M*beta*f_{p,q+1}
-    - (alpha-beta)*f_{p+1,q} + beta*(M-2*alpha)*f_{p,q} on any grid."""
-    alpha, beta = alpha_beta(M)
+def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
+    """Build the two-block grids from the sigma closed form.
+
+    sigma' is the exact complement alpha^p - sigma; u is computed through
+    both of its series expressions (one in sigma', one in sigma) and the two
+    must agree entry by entry.
+    """
+    D = 1 << M * (P + Q)
+    return TwoBlockTable(P, Q, *(tuple(tuple(Fraction(x, D) for x in row) for row in grid)
+                                 for grid in _two_block_grids(M, P, Q)))
+
+
+def delta_operator(M: int, grid, p: int, q: int):
+    """2^(2M) times the mixed difference f_{p+1,q+1} - M*beta*f_{p,q+1}
+    - (alpha-beta)*f_{p+1,q} + beta*(M-2*alpha)*f_{p,q} on any grid: the
+    scale makes every coefficient an integer and keeps signs and zeros."""
+    A = _inv_beta(M)
     if p < 0 or q < 0 or p + 1 >= len(grid) or q + 1 >= len(grid[p + 1]):
         raise ValueError(f"grid too small for the difference at ({p}, {q})")
-    return (grid[p + 1][q + 1] - M * beta * grid[p][q + 1]
-            - (alpha - beta) * grid[p + 1][q] + beta * (M - 2 * alpha) * grid[p][q])
+    return (A * A * grid[p + 1][q + 1] - M * A * grid[p][q + 1]
+            - A * (A - 2) * grid[p + 1][q] + (M * A - 2 * A + 2) * grid[p][q])
 
 
 @dataclass(frozen=True)
@@ -253,54 +282,52 @@ class PolyPQ:
 
 def pq_polynomials(M: int) -> PolyPQ:
     """P(x) = (1+x)^M [1-(alpha-beta)x] - 1 - (M+beta-alpha)x + x^2(M-2alpha)
-    and its cofactor Q, with the structural identities asserted."""
-    alpha, beta = alpha_beta(M)
-    binom = [Fraction(comb(M, k)) for k in range(M + 1)]
-    p_coeffs = np.convolve(binom, [Fraction(1), -(alpha - beta)])  # object dtype: exact
-    p_coeffs[0] -= 1
-    p_coeffs[1] -= M + beta - alpha
-    p_coeffs[2] += M - 2 * alpha
+    and its cofactor Q, with the structural identities asserted on the
+    integer coefficients of 2^M P and 2^M Q."""
+    A = _inv_beta(M)
+    binom = [comb(M, k) for k in range(M + 1)] + [0]
+    # (1+x)^M [2^M - (2^M - 2)x], as 2^M (alpha - beta) = 2^M - 2
+    p_coeffs = [A * c - (A - 2) * prev for prev, c in zip([0] + binom, binom)]
+    p_coeffs[0] -= A
+    p_coeffs[1] -= M * A - A + 2
+    p_coeffs[2] += M * A - 2 * A + 2
 
     assert sum(p_coeffs) == 0  # P(1) = 2^M (1 - alpha + beta) - 2 = 0
     assert p_coeffs[0] == 0 and p_coeffs[1] == 0
-    assert p_coeffs[2] == comb(M, 2) - 2 * (alpha - M * beta)
+    assert p_coeffs[2] == A * binom[2] - 2 * (A - 1 - M)
     for k in range(3, M + 2):
-        expect = Fraction(comb(M, k)) - (alpha - beta) * comb(M, k - 1)
-        assert p_coeffs[k] == expect
+        assert p_coeffs[k] == A * binom[k] - (A - 2) * binom[k - 1]
 
     q_coeffs = list(accumulate(p_coeffs[:-1]))
     assert q_coeffs[-1] + p_coeffs[-1] == 0  # exact division by (1 - x)
     # partial-sum identity: for 2 <= l <= M the coefficient of x^l in Q is
     # C(M,l) - 2*beta*sum_{k=l}^M C(M,k), equal to 1 - 2*beta at l = M
     for l in range(2, M + 1):
-        expect = Fraction(comb(M, l)) - 2 * beta * sum(comb(M, k) for k in range(l, M + 1))
-        assert q_coeffs[l] == expect
-    assert q_coeffs[M] == 1 - 2 * beta
-    return PolyPQ(tuple(p_coeffs), tuple(q_coeffs))
+        assert q_coeffs[l] == A * binom[l] - 2 * sum(binom[l:])
+    assert q_coeffs[M] == A - 2
+    return PolyPQ(tuple(Fraction(c, A) for c in p_coeffs),
+                  tuple(Fraction(c, A) for c in q_coeffs))
 
 
 def sigma_generating_identity(M: int, p: int, order: int) -> bool:
     """Compare (1-x) * sum_j sigma_{p,j} x^(j-1) with
-    beta^p x^-p [(1+x)^M - 1]^p coefficient by coefficient up to the order."""
-    _, beta = alpha_beta(M)
+    beta^p x^-p [(1+x)^M - 1]^p coefficient by coefficient up to the order,
+    both sides times 2^(Mp)."""
+    _inv_beta(M)  # checks the window
     if p < 0 or order < 0:
         raise ValueError(f"indices must be >= 0, got p={p}, order={order}")
 
-    base = [Fraction(comb(M, k)) for k in range(M + 1)]
+    base = np.array([comb(M, k) for k in range(M + 1)], dtype=object)
     base[0] -= 1  # (1+x)^M - 1
-    power = [Fraction(1)]
+    power = np.ones(1, dtype=object)  # object dtype: exact
     for _ in range(p):
         power = np.convolve(power, base)
     assert all(c == 0 for c in power[:p])  # divisible by x^p
-    rhs = [beta ** p * c for c in power[p:]]
+    rhs = list(power[p:]) + [0] * (order + 1)  # zero past the degree
 
     sig = _sigma_row(M, p, order + 1)
-    for t in range(order + 1):
-        lhs = sig[1] if t == 0 else sig[t + 1] - sig[t]
-        rhs_t = rhs[t] if t < len(rhs) else Fraction(0)
-        if lhs != rhs_t:
-            return False
-    return True
+    return all((sig[1] if t == 0 else sig[t + 1] - sig[t]) == rhs[t]
+               for t in range(order + 1))
 
 
 # ---------------------------------------------------------------------------

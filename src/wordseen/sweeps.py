@@ -44,6 +44,7 @@ from .montecarlo import (
     sample_sequence,
 )
 from .recursions import (
+    _two_block_grids,
     alpha_beta,
     char_poly,
     delta_operator,
@@ -290,21 +291,23 @@ def sweep_polynomial_certificates() -> SweepResult:
         bad = [i for i, c in enumerate(poly.q_coeffs) if c < 0]
         if bad:
             res.fail(f"M={M}: negative cofactor coefficients at {bad}")
+    K = 2 * (grid + 1)
     for M in (2, 3, 4, 5):
-        alpha, beta = alpha_beta(M)
-        table = u_table(M, grid + 1, grid + 1)
-        powers = [[alpha ** p for _ in range(grid + 2)] for p in range(grid + 2)]
+        # integer grids over 2^(MK); the differences carry 2^(2M) more
+        _, _, u, w, _ = _two_block_grids(M, grid + 1, grid + 1)
+        A, scale = 1 << M, 1 << M * (K + 2)
+        powers = [[(A - 1) ** p << M * (K - p)] * (grid + 2) for p in range(grid + 2)]
         for p in range(grid + 1):
             for q in range(grid + 1):
                 if delta_operator(M, powers, p, q) != 0:
                     res.fail(f"M={M}, p={p}, q={q}: difference of alpha^p not zero")
-                du = delta_operator(M, table.u, p, q)
-                dw = delta_operator(M, table.w, p, q)
+                du = delta_operator(M, u, p, q)
+                dw = delta_operator(M, w, p, q)
                 if du > 0:
-                    res.fail(f"M={M}, p={p}, q={q}: u difference {du} positive")
+                    res.fail(f"M={M}, p={p}, q={q}: u difference {Fraction(du, scale)} positive")
                 if dw < 0:
-                    res.fail(f"M={M}, p={p}, q={q}: w difference {dw} negative")
-                if du != -beta * dw:
+                    res.fail(f"M={M}, p={p}, q={q}: w difference {Fraction(dw, scale)} negative")
+                if A * du != -dw:  # du = -beta * dw
                     res.fail(f"M={M}, p={p}, q={q}: u and w differences not "
                              f"proportional")
     for M in range(2, 5):
@@ -334,8 +337,9 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
                          f"budget of M <= {_GROWTH_MAX_M}")
     c_tol = 1e-7
     res = SweepResult(f"renewal facts M <= {M_max}, n <= {N}")
+    tables = {}
     for M in range(1, M_max + 1):
-        table = renewal_table(M, N)
+        table = tables[M] = renewal_table(M, N)
         if table.u[1] != Fraction(1, M):
             res.fail(f"M={M}: u_1 = {table.u[1]} != 1/M")
         for n in range(1, N):
@@ -357,7 +361,7 @@ def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
                     res.fail(f"M=2, n={n}: V ratio dropped below 4/3")
                     break
     for M in (2, 3):
-        V = renewal_table(M, 5).V
+        V = (tables[M] if M in tables and N >= 5 else renewal_table(M, 5)).V
         for n in range(1, 6):
             brute = visits_moment_bruteforce(M, n)
             if brute != V[n]:

@@ -49,12 +49,12 @@ def test_vn_rejects_window_one():
 
 
 def test_vn_over_the_budget_exits_two(monkeypatch, capsys):
-    # N^2*M = 8001^2 * 2 is over the 2^24 budget: refused before alpha_beta
+    # N^2*M = 8001^2 * 2 is over the 2^24 budget: refused before _inv_beta
     # builds 2^M, and so before any row
     def unreachable(M):
         raise AssertionError("work started over the budget")
 
-    monkeypatch.setattr(recursions, "alpha_beta", unreachable)
+    monkeypatch.setattr(recursions, "_inv_beta", unreachable)
     assert run_error("vn", "--M", "2", "--N", "8000") == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("wordseen: error:")]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -106,6 +107,30 @@ def test_random_word_identity():
 @pytest.mark.parametrize("M,n", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4)])
 def test_surplus_moment_bruteforce(M, n):
     assert visits_moment_bruteforce(M, n) == renewal_table(M, n).V[n]
+
+
+def test_surplus_moment_bruteforce_equals_the_pair_loop():
+    """The blocked comparison of the oracle counts the same coincidences as
+    a loop over every pair of walks."""
+    for M, n in itertools.product(range(1, 5), range(5)):
+        walks = [list(itertools.accumulate(gaps))
+                 for gaps in itertools.product(range(1, M + 1), repeat=n)]
+        total = sum(2 ** sum(a == b for a, b in zip(a_pos, b_pos))
+                    for a_pos in walks for b_pos in walks)
+        assert visits_moment_bruteforce(M, n) == Fraction(total, M ** (2 * n))
+
+
+def test_surplus_moment_bruteforce_memory_is_bounded():
+    """M = 2, n = 10 compares 2^20 walk pairs over 10 steps in blocks of at
+    most 2^20 cells, so the traced peak stays far below the 10 MB one
+    broadcast of every pair would take."""
+    tracemalloc.start()
+    try:
+        assert visits_moment_bruteforce(2, 10) == renewal_table(2, 10).V[10]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 def scalar_walk_rows(M, step):

@@ -1,0 +1,36 @@
+"""Byte-identical stdout of the series commands: the sha256 of each one's
+stdout and its exit code, recorded when the v_n tables, the two-block grids
+and the Lemma 4.3 checks still computed in `Fraction`.  Any change to a
+printed value, its format or a verdict moves a digest."""
+
+import hashlib
+
+import pytest
+
+from wordseen import cli
+
+DIGESTS = [
+    ("verify lemma43", 0, "79b092646df3d51f283a2501d917ced6b2095a110dba2364aad3a6ca81c218ca"),
+    ("verify renewal", 0, "2d7684ed37c0e64af5c3052ce002e913906bd15f98178927aa3885c5a643b458"),
+    ("verify renewal --M 8", 0, "f0eb49a0c85bbe915024039aed2e1c8e61693b8c0f39f1506a0011ead1e4c9ac"),
+    ("verify thm1b --n 6", 0, "b3609fe79c0983adf917cba2c82b1fc11ddf21935c5a03c0b4baefd785b9ab69"),
+    ("verify thm1b --n 10", 0, "13fabbc01241d2639af13521d17382a6d445be3fea2204b85eb4fbe18b363582"),
+    ("vn --M 6 --N 200", 0, "bc5c3309d320cf4ca9d5cee65edead96a1302acd3516aa3a333421c87212e62f"),
+    ("twoblock --p 7 --q 3 --M 2", 0, "b3590c572d259f0b258b1beb7bc84d3e720695e8751b52da41c5594fe95fa544"),
+    ("twoblock --p 6 --q 2 --M 3", 0, "76862a29f7443e8891b1535b9afc4391f5040769b7de0561ed56cc3054d1a6ea"),
+    ("twoblock --p 1 --q 5 --M 4", 0, "9b7347408ecebdb3eedf7a37e23de4a5b248bdf4c0bb48fc23db75975a9cd3e6"),
+    ("cm --M 2", 0, "853150ba75bdcf825320375342688219a2ce2f48803b4a67b35e3a7de7feffac"),
+    ("cm --M 3", 0, "3fb2bbc20a3390ae4b54fbb02dbfbbd9bd0993b353dd84ca58a6f0e82a024a2e"),
+    ("cm --M 4", 0, "f31d240ec5beb0339a030e4830758e57b10d90d1ba4ed2bea92ebb46ea30c244"),
+    ("cm --M 5", 0, "e81d9bb066be6f4b7b7d7233b66d227a1cdb5aaaf3caf8e7813ade78908cf8a4"),
+    ("cm --M 6", 0, "ac9335c3d20601e5fe6a213d2bc7349c1fb45f2e69de43e2e0623ca95cf6a6f0"),
+    ("cm --M 7", 0, "14896ade5da2374224cd67e55559b595b164cb7c0f899afab5772d91d100be78"),
+    ("cm --M 8", 0, "7164cba1a5d8405d066de4391175e329f1b2251c6d927065214378f5323dd96f"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest", DIGESTS, ids=[d[0] for d in DIGESTS])
+def test_stdout_digest_is_pinned(capsys, line, code, digest):
+    assert cli.main(line.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -179,6 +179,21 @@ def test_delta_operator_kills_alpha_powers():
                 assert delta_operator(M, grid, p, q) == 0
 
 
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+def test_delta_operator_on_integer_grids(M):
+    """On the integer u and w grids over 2^(M(P+Q)), delta_operator is
+    2^(2M) times the mixed difference of the Fraction grids."""
+    alpha, beta = alpha_beta(M)
+    t = u_table(M, 11, 11)
+    _, _, u, w, _ = recursions._two_block_grids(M, 11, 11)
+    scale = 2 ** (2 * M) * 2 ** (M * 22)
+    for grid, frac in ((u, t.u), (w, t.w)):
+        for p, q in itertools.product(range(11), repeat=2):
+            diff = (frac[p + 1][q + 1] - M * beta * frac[p][q + 1]
+                    - (alpha - beta) * frac[p + 1][q] + beta * (M - 2 * alpha) * frac[p][q])
+            assert delta_operator(M, grid, p, q) == scale * diff
+
+
 def test_pq_polynomials_window_two():
     poly = pq_polynomials(2)
     assert poly.p_coeffs == (0, 0, Fraction(1, 2), Fraction(-1, 2))

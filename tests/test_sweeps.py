@@ -105,8 +105,8 @@ def test_run_suite_refuses_an_unknown_name():
 
 def test_verify_renewal_builds_each_table_once(monkeypatch, capsys):
     """verify renewal builds one renewal table for each window M = 1..6 and
-    one each for M = 2, 3, whose V_1..V_5 the brute-force surplus moments are
-    held against: 8 tables, not one per (M, n)."""
+    holds the brute-force surplus moments for M = 2, 3 against the V_1..V_5
+    of those tables: 6 tables, not one per (M, n)."""
     calls = []
     build = sweeps.renewal_table
 
@@ -117,4 +117,18 @@ def test_verify_renewal_builds_each_table_once(monkeypatch, capsys):
     monkeypatch.setattr(sweeps, "renewal_table", counting)
     assert cli.main(["verify", "renewal"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert calls == [(M, 100) for M in range(1, 7)] + [(2, 5), (3, 5)]
+    assert calls == [(M, 100) for M in range(1, 7)]
+
+
+def test_lemma43_fails_on_a_perturbed_u_numerator(monkeypatch):
+    """One unit added to one integer u numerator, after the grid builder's
+    own check, breaks the proportionality of the u and w differences."""
+    build = sweeps._two_block_grids
+
+    def perturbed(M, P, Q):
+        sigma, sigma_prime, u, w, delta = build(M, P, Q)
+        u[3][4] += 1
+        return sigma, sigma_prime, u, w, delta
+
+    monkeypatch.setattr(sweeps, "_two_block_grids", perturbed)
+    assert not sweeps.run_suite("lemma43").ok
