@@ -4,8 +4,9 @@ The streaming frontier of core._step (the youngest age of each prefix length
 that can still be completed, pruned to the members no other member dominates)
 takes finitely many values, so the seen event is a finite automaton over
 sequence letters.  Subset states are discovered by worklist search, ACCEPT
-and DEAD absorb, and the rest of the automaton is acyclic, so one backward
-pass in integers values every state once.
+and DEAD absorb, and the rest of the automaton is acyclic, so one post-order
+pass on an explicit stack (ProbAutomaton._valuate; a cycle raises) values
+every state once, in integers, for the word and for all its prefixes.
 """
 
 from __future__ import annotations
@@ -56,19 +57,12 @@ class ProbAutomaton:
     def size(self) -> int:
         return len(self.states)
 
-    def seen_probability(self, p: Rational) -> Fraction:
-        """Value every state once, in post-order from the start: at p = a/b a
-        state is worth A / b^e, where ACCEPT is (1, 0), DEAD is (0, 0) and a
-        state with letter weights (b - a, a) into (A0, e0) and (A1, e1) has
-        e = 1 + max(e0, e1) and A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1).
-        A state met again while still open closes a cycle and raises."""
-        prob = _check_prob(Fraction(p))
-        b = prob.denominator
-        w0, w1 = b - prob.numerator, prob.numerator
-        value = [(1, 0) if s == ACCEPT else (0, 0) if s == DEAD else None
-                 for s in self.states]
-        opened = [False] * self.size
-        powers, stack = [1], [0]  # powers[k] = b^k
+    def _valuate(self, leaf, combine):
+        """Post-order from the start on an explicit stack: leaf(state) values ACCEPT
+        and DEAD, combine(state, value on 0, value on 1) the rest; returns the start's
+        value.  A state met again while still open closes a cycle and raises."""
+        value = [leaf(s) if s in (ACCEPT, DEAD) else None for s in self.states]
+        opened, stack = [False] * self.size, [0]
         while stack:
             i = stack.pop()
             if value[i] is not None:
@@ -80,13 +74,38 @@ class ProbAutomaton:
                 opened[i] = True
                 stack += [i] + [j for j in (on0, on1) if value[j] is None]
                 continue
-            (A0, e0), (A1, e1) = value[on0], value[on1]
+            value[i] = combine(self.states[i], value[on0], value[on1])
+        return value[0]
+
+    def seen_probability(self, p: Rational) -> Fraction:
+        """At p = a/b a state is worth A / b^e: ACCEPT (1, 0), DEAD (0, 0), and a
+        state with letter weights (b - a, a) into (A0, e0) and (A1, e1) has
+        e = 1 + max(e0, e1), A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1)."""
+        a, b = _check_prob(Fraction(p)).as_integer_ratio()
+        w0, powers = b - a, [1]  # powers[k] = b^k
+        def combine(_, v0, v1):
+            (A0, e0), (A1, e1) = v0, v1
             e = 1 + max(e0, e1)
             if len(powers) < e:
                 powers.append(powers[-1] * b)
-            value[i] = (w0 * A0 * powers[e - 1 - e0] + w1 * A1 * powers[e - 1 - e1], e)
-        A, e = value[0]
+            return w0 * A0 * powers[e - 1 - e0] + a * A1 * powers[e - 1 - e1], e
+        A, e = self._valuate(lambda s: (int(s == ACCEPT), 0), combine)
         return Fraction(A, b ** e)
+
+    def prefix_probabilities(self, p: Rational) -> tuple[Fraction, ...]:
+        """P(word[:j] is M-seen) for j = 0..n: pruning never changes whether a
+        prefix is reached, so this one automaton decides each.  Entry j of a
+        state is b^e if it holds some k >= j (ACCEPT holds n, DEAD none), else
+        the sum of its successors' entries j weighed as in seen_probability."""
+        a, b = _check_prob(Fraction(p)).as_integer_ratio()
+        def combine(state, v0, v1):
+            (A0, e0), (A1, e1) = v0, v1
+            e = 1 + max(e0, e1)
+            s0, s1 = (b - a) * b ** (e - 1 - e0), a * b ** (e - 1 - e1)
+            held = max(mask for _, mask in state).bit_length()  # some k >= j for j < held
+            return [b ** e] * held + [s0 * x + s1 * y for x, y in zip(A0[held:], A1[held:])], e
+        A, e = self._valuate(lambda s: ([int(s == ACCEPT)] * (self.word.n + 1), 0), combine)
+        return tuple(Fraction(x, b ** e) for x in A)
 
 
 def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> ProbAutomaton:

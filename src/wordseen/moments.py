@@ -81,8 +81,10 @@ def second_moment_exact(word: WordLike, M: int) -> Fraction:
 
 def _walk_positions(M: int, n: int) -> list[tuple[int, ...]]:
     """The M^n position sequences of an n-step walk with steps in 1..M, for
-    the oracles that pair them up: M^(2n) pairs over _PAIR_BUDGET are
-    refused before any walk is built."""
+    the oracles that pair them up: n*M^n positions over _BLOCK_CELLS or M^(2n)
+    pairs over _PAIR_BUDGET are refused before any walk is built."""
+    if n * M ** min(n, 21) > _BLOCK_CELLS:  # M^21 > _BLOCK_CELLS once M >= 2
+        raise ValueError(f"{M}^{n} walks of {n} positions exceed {_BLOCK_CELLS} cells")
     if M ** (2 * n) > _PAIR_BUDGET:
         raise ValueError(f"pair enumeration M^(2n) = {M ** (2 * n)} exceeds the budget")
     return [tuple(accumulate(gaps)) for gaps in product(range(1, M + 1), repeat=n)]

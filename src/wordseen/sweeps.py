@@ -21,7 +21,8 @@ from .core import (
     is_m_seen,
     s_sequence,
 )
-from .exactprob import _check_word_length, exact_seen_probability, max_word_probability
+from .exactprob import (_check_word_length, build_automaton, exact_seen_probability,
+                        max_word_probability)
 from .moments import (
     _GROWTH_MAX_M,
     embedding_count_moments,
@@ -140,16 +141,14 @@ def sweep_two_block_chain(total_max: int = 10) -> SweepResult:
             res.fail(f"M={M}: {err}")
             continue
         for p in range(total_max + 1):
+            word = BinaryWord.two_block(p, total_max - p)  # decides each 1^p 0^q
+            exact = build_automaton(word, M).prefix_probabilities(Fraction(1, 2))
             for q in range(total_max + 1 - p):
                 if table.delta[p][q] < 0:
                     res.fail(f"M={M}, p={p}, q={q}: u={table.u[p][q]} "
                              f"exceeds v by {-table.delta[p][q]}")
-                if p + q == 0:
-                    continue
-                word = BinaryWord.two_block(p, q)
-                exact = exact_seen_probability(word, M)
-                if exact > table.u[p][q]:
-                    res.fail(f"M={M}, p={p}, q={q}: P(seen)={exact} "
+                if exact[p + q] > table.u[p][q]:
+                    res.fail(f"M={M}, p={p}, q={q}: P(seen)={exact[p + q]} "
                              f"exceeds u={table.u[p][q]}")
         # induction step behind the sandwich: delta grows by at least M*beta
         for p in range(total_max):

@@ -226,6 +226,12 @@ def test_verify_flags_follow_the_suite_table(monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert ("sweep over 2^21 words exceeds the enumeration budget"
             in capsys.readouterr().err)
+    # thm1b's two-block grids stop at 40: n = 41 is refused before any
+    # automaton is built
+    monkeypatch.setattr(sweeps, "build_automaton", unreachable)
+    assert run_error("verify", "thm1b", "--n", "41") == 2
+    assert ("grid bound 41 exceeds the desk-scale budget"
+            in capsys.readouterr().err)
     calls = []
 
     def fake(**kwargs):

@@ -20,7 +20,7 @@ from wordseen.exactprob import (
 )
 from wordseen.moments import (embedding_count_moments, expected_embeddings,
                               second_moment_exact, second_moment_oracle)
-from wordseen.recursions import vn_single_recursion
+from wordseen.recursions import vn_pair_recursion, vn_single_recursion
 
 
 def test_alternating_values_window_two():
@@ -177,8 +177,23 @@ def test_pruned_automaton_sizes(word, M, size):
 
 
 def test_long_alternating_word_equals_recursion():
-    assert exact_seen_probability(BinaryWord.alternating(1, 128), 8) == (
-        vn_single_recursion(8, 128)[128])
+    """One automaton of the alternating word, n = 128 at M = 8, gives v_128
+    and, as its prefix vector, the whole table v_0..v_128."""
+    auto = build_automaton(BinaryWord.alternating(1, 128), 8)
+    assert auto.seen_probability(Fraction(1, 2)) == vn_single_recursion(8, 128)[128]
+    assert auto.prefix_probabilities(Fraction(1, 2)) == vn_pair_recursion(8, 128).v
+
+
+def test_prefix_probabilities_equal_each_prefix():
+    """The prefix vector of each length-8 word equals the per-word value of
+    each of its prefixes, so every word with n <= 8 is checked, at M <= 3
+    and three biases."""
+    for M, p in itertools.product((1, 2, 3), map(Fraction, ("1/2", "1/3", "3/4"))):
+        per_word = {bits: exact_seen_probability(BinaryWord(bits), M, p)
+                    for n in range(9) for bits in itertools.product((0, 1), repeat=n)}
+        for bits in itertools.product((0, 1), repeat=8):
+            vector = build_automaton(BinaryWord(bits), M).prefix_probabilities(p)
+            assert vector == tuple(per_word[bits[:j]] for j in range(9)), (bits, M, p)
 
 
 def test_backward_pass_refuses_a_cycle():
@@ -187,6 +202,8 @@ def test_backward_pass_refuses_a_cycle():
     auto = ProbAutomaton(BinaryWord("1"), 2, states, transitions)
     with pytest.raises(ValueError, match="cycle"):
         auto.seen_probability(Fraction(1, 2))
+    with pytest.raises(ValueError, match="cycle"):
+        auto.prefix_probabilities(Fraction(1, 2))
 
 
 def test_state_cap(monkeypatch):

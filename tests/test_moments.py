@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -131,6 +132,17 @@ def test_surplus_moment_bruteforce_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 << 20
+
+
+@pytest.mark.parametrize("M,n", [(1, 2 ** 21), (1, 10 ** 12), (2, 10 ** 9)])
+def test_surplus_moment_bruteforce_refuses_long_walks(M, n):
+    """At M = 1 there is one walk pair whatever n, so the pair budget alone
+    lets n = 2^21 through; n*M^n positions over _BLOCK_CELLS are refused
+    before any walk, or any power as large as M^n, is built."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="positions exceed"):
+        visits_moment_bruteforce(M, n)
+    assert time.perf_counter() - start < 1.0
 
 
 def scalar_walk_rows(M, step):

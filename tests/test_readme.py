@@ -49,6 +49,7 @@ def test_readme_library_snippet():
     ns: dict = {}
     exec(snippet, ns)
     assert exactprob.exact_seen_probability("1100", M=2) == Fraction(3, 8)
+    assert ns["prefixes"] == tuple(map(Fraction, ("1", "3/4", "9/16", "31/64", "3/8")))
     assert ns["emb"].positions == (2, 4, 6, 8)
     assert ns["table"].v[6] == Fraction(169, 512)
     assert moments.expected_embeddings(M=3, n=4) == Fraction(81, 16)

@@ -120,6 +120,22 @@ def test_verify_renewal_builds_each_table_once(monkeypatch, capsys):
     assert calls == [(M, 100) for M in range(1, 7)]
 
 
+def test_thm1b_builds_one_automaton_per_window_and_block(monkeypatch):
+    """sweep_two_block_chain(6) reads every 1^p 0^q from the prefix vector of
+    1^p 0^(6-p): one automaton for each M = 2..5 and p = 0..6, 28 in all,
+    not one per (M, p, q)."""
+    calls = []
+    build = sweeps.build_automaton
+
+    def counting(word, M):
+        calls.append((word.letters, M))
+        return build(word, M)
+
+    monkeypatch.setattr(sweeps, "build_automaton", counting)
+    assert sweeps.sweep_two_block_chain(6).ok
+    assert calls == [((1,) * p + (0,) * (6 - p), M) for M in range(2, 6) for p in range(7)]
+
+
 def test_lemma43_fails_on_a_perturbed_u_numerator(monkeypatch):
     """One unit added to one integer u numerator, after the grid builder's
     own check, breaks the proportionality of the u and w differences."""
