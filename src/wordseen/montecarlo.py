@@ -4,8 +4,8 @@ All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
 them with core's lane-packed batch_seen in batches of at most _BATCH_CELLS
-letters.  Every 0/1 draw fills its letters through one cache-sized buffer of
-uniforms (_draw), so an estimate holds a few MB whatever `trials` is.
+letters, as the coupling chain does its samples.  Each 0/1 draw goes through
+one cache-sized buffer of uniforms (_draw): a few MB whatever `trials` is.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    BinaryWord,
     PrefixLike,
     WordLike,
     _check_prob,
@@ -25,7 +24,6 @@ from .core import (
     as_prefix,
     as_word,
     batch_seen,
-    seen_within,
 )
 
 # Letter budget: the widest single trial an estimate may draw, and the
@@ -214,6 +212,22 @@ class CouplingStage:
                              f"[{lo}, {hi}] for p_in={self.p_in}")
 
 
+def _merge(x: np.ndarray, p1: float, gens: list) -> np.ndarray:
+    """coupling_F of each row of x (R, 2m), the coins of row r from gens[r]."""
+    out = x[:, 0::2] & x[:, 1::2]
+    mixed = x[:, 0::2] != x[:, 1::2]
+    if mixed.any():
+        out[mixed] = np.concatenate([_draw(gen, (int(count),), p1)
+                                     for gen, count in zip(gens, mixed.sum(1))])
+    return out
+
+
+def _witness(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Is each letter of out (..., m) the first of its pair in x, or neither?"""
+    first = x[..., 0::2] == out
+    return first, ~first & (x[..., 1::2] != out)
+
+
 def coupling_F(x: PrefixLike, p1: float, gen: np.random.Generator) -> np.ndarray:
     """Merge consecutive letter pairs: 00 -> 0, 11 -> 1, and a mixed pair
     flips a p1-coin for 1.  Every output letter equals one of its two source
@@ -223,26 +237,18 @@ def coupling_F(x: PrefixLike, p1: float, gen: np.random.Generator) -> np.ndarray
         raise ValueError(f"input length must be even, got {len(seq)}")
     if not 0 <= p1 <= 1:
         raise ValueError(f"p1 must be in [0, 1], got {p1}")
-    sums = seq.reshape(-1, 2).sum(axis=1)
-    out = (sums == 2).astype(np.uint8)
-    mixed = sums == 1
-    if mixed.any():
-        out[mixed] = _draw(gen, (int(mixed.sum()),), p1)
-    return out
+    return _merge(seq[None], p1, [gen])[0]
 
 
 def coupling_witness(x: PrefixLike, out: PrefixLike) -> tuple[int, ...]:
     """Positions m_k in {2k-1, 2k} with x_{m_k} = out_k; the gaps are then
     automatically in {1, 2, 3}.  Raises if some output letter matches
     neither source letter of its block."""
-    xs = as_prefix(x)
-    os = as_prefix(out)
+    xs, os = as_prefix(x), as_prefix(out)
     if len(xs) != 2 * len(os):
         raise ValueError(f"length mismatch: {len(xs)} input letters for "
                          f"{len(os)} output letters")
-    blocks = xs.reshape(-1, 2)
-    first = blocks[:, 0] == os
-    neither = ~first & (blocks[:, 1] != os)
+    first, neither = _witness(xs, os)
     if neither.any():
         raise ValueError(f"output letter {int(neither.argmax()) + 1} matches "
                          f"neither source letter")
@@ -305,42 +311,36 @@ def coupling_chain_demo(p: float, p_target: float, length: int, samples: int,
                         rng: RngConfig) -> ChainDemoReport:
     """Run the full chain on seeded samples and certify every step.
 
-    Each sample draws an iid input at density p of length length * 2^k,
-    pushes it through the k stages, checks the per-stage positional witness
-    and that the final word sits 3^k-seen inside the original input, and
-    pools the final letters for the density check.  sample_sequence refuses
-    a plan whose input exceeds _CHUNK_CELLS letters before any draw.
+    Sample i draws an iid input at density p of length length * 2^k from
+    rng.stream(3, i), pushes it through the k stages, checks the per-stage
+    positional witness (a failure pools the letters from before that stage)
+    and that the final word sits 3^k-seen in the input, and pools the final
+    letters for the density check; samples run as rows of _BATCH_CELLS-letter
+    blocks.  sample_sequence refuses an input over _CHUNK_CELLS letters first.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     stages = plan_parameter_path(p, p_target)
-    k = len(stages)
-    window = 3 ** k
-    failures = 0
-    total = 0
-    for i in range(samples):
-        gen = rng.stream(3, i)
-        seq = sample_sequence(p, length * 2 ** k, gen)
-        cur = seq
-        ok = True
+    k, width = len(stages), length * 2 ** len(stages)
+    step = max(1, _BATCH_CELLS // width)
+    failures = total = 0
+    for start in range(0, samples, step):
+        gens = [rng.stream(3, i) for i in range(start, min(start + step, samples))]
+        cur = seq = np.stack([sample_sequence(p, width, gen) for gen in gens])
         for stage in stages:
-            nxt = coupling_F(cur, stage.p1, gen)
-            try:
-                coupling_witness(cur, nxt)
-            except ValueError:
-                ok = False
-                break
-            cur = nxt
-        if ok and k and not seen_within(BinaryWord(cur), seq, window):
-            ok = False
-        if not ok:
-            failures += 1
+            nxt = _merge(cur, stage.p1, gens)
+            bad = _witness(cur, nxt)[1].any(1)
+            failures += int(bad.sum())
+            total += int(cur[bad].sum())
+            seq, cur = seq[~bad], nxt[~bad]
+            gens = [gen for gen, b in zip(gens, bad) if not b]
+        if k and len(cur):
+            failures += int((~batch_seen(cur, seq, min(3 ** k, width))).sum())
         total += int(cur.sum())
     letters = samples * length
-    empirical = total / letters
     tolerance = 4 * math.sqrt(p_target * (1 - p_target) / letters)
-    return ChainDemoReport(float(p), float(p_target), tuple(stages), window,
-                           length, samples, failures, empirical, tolerance,
+    return ChainDemoReport(float(p), float(p_target), tuple(stages), 3 ** k,
+                           length, samples, failures, total / letters, tolerance,
                            rng.seed)

@@ -41,14 +41,17 @@ def test_every_layer_name_resolves():
 def test_traced_commands_feed_every_counter(tmp_path):
     """The tracer's counters also read record fields: ProbAutomaton.size,
     .word and .M, TwoBlockTable.P and .Q, RenewalTable.N, the estimates'
-    trials and SweepResult.ok.  One traced pass over commands that reach
-    each of them fails on a field the package no longer has."""
+    trials and SweepResult.ok, and the kernel counter reads the arrays that
+    the estimates and the coupling chain pass to batch_seen.  One traced
+    pass over commands that reach each of them fails on a field the package
+    no longer has."""
     layers = _load_layers()
     tracer = layers.Tracer()
     commands = ["exact --word 10 --M 2 --oracle", "maxword --n 3 --M 2",
                 "twoblock --p 1 --q 1 --M 2",
                 "simulate --word 10 --M 2 --trials 100",
                 "simulate --p-x 1/2 --p-y 1/2 --n 2 --M 2 --trials 100",
+                "couple --p-x 9/10 --p-y 1/10 --n 4 --trials 10",
                 "verify thm4"]
     tracer.install()
     try:

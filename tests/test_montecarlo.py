@@ -96,6 +96,23 @@ def test_estimate_memory_is_bounded():
         assert peak <= limit_mb << 20
 
 
+def test_chain_demo_memory_is_bounded():
+    """The chain runs its samples in blocks of at most _BATCH_CELLS input
+    letters (256 samples of 1,024 letters here), so the traced peak does not
+    grow with `samples`; one array of every sample would hold 5,000 x 1,024
+    letters at N = 5,000, 25 times the N = 200 block."""
+    coupling_chain_demo(0.9, 0.1, 32, samples=2, rng=RngConfig(1))  # warm up
+    peaks = []
+    for samples in (200, 5000):
+        tracemalloc.start()
+        try:
+            coupling_chain_demo(0.9, 0.1, 32, samples=samples, rng=RngConfig(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 7), st.integers(1, 8), st.data())
 def test_batch_seen_rows_match_scalar(n, M, R, data):
@@ -274,6 +291,78 @@ def test_chain_demo_report():
     assert report == again
     payload = report.to_json_dict()
     assert payload["ok"] is True and payload["window"] == 3
+
+
+# (p, p_target, length, seed) -> {samples: (witness_failures, empirical,
+# tolerance)}, recorded while the chain still ran one sample at a time
+# through coupling_F, coupling_witness and seen_within
+CHAIN_PINS = {
+    (0.9, 0.1, 32, 3): {1: (0, 0.125, 0.21213203435596428),
+                        7: (0, 0.14285714285714285, 0.08017837257372731),
+                        65: (0, 0.11442307692307692, 0.026311740579210877),
+                        200: (0, 0.105625, 0.015000000000000001)},
+    (0.1, 0.9, 16, 5): {1: (0, 1.0, 0.3),
+                        7: (0, 0.875, 0.11338934190276816),
+                        65: (0, 0.9028846153846154, 0.03721042037676253),
+                        200: (0, 0.903125, 0.021213203435596423)},
+    (0.5, 0.05, 8, 6): {1: (0, 0.0, 0.3082207001484488),
+                        7: (0, 0.017857142857142856, 0.1164964745021435),
+                        65: (0, 0.04230769230769231, 0.038230072737812856),
+                        200: (0, 0.05125, 0.021794494717703367)},
+}
+
+
+@pytest.mark.parametrize("plan", sorted(CHAIN_PINS), ids=lambda plan: f"{plan[0]}->{plan[1]}")
+def test_chain_demo_reports_pinned(monkeypatch, plan):
+    """Every report field is bit-identical to the one-sample-at-a-time chain,
+    also when a small _BATCH_CELLS splits the samples over many blocks."""
+    p, p_target, length, seed = plan
+    stages = tuple(plan_parameter_path(p, p_target))
+    want = {samples: ChainDemoReport(p, p_target, stages, 3 ** len(stages), length,
+                                     samples, *pinned, seed)
+            for samples, pinned in CHAIN_PINS[plan].items()}
+    for samples, report in want.items():
+        assert coupling_chain_demo(p, p_target, length, samples, RngConfig(seed)) == report
+    # three samples per block: 65 samples in 22 blocks
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 3 * length * 2 ** len(stages) + 1)
+    assert coupling_chain_demo(p, p_target, length, 65, RngConfig(seed)) == want[65]
+
+
+def test_chain_demo_catches_a_flipped_letter(monkeypatch):
+    """A merge that breaks the witness for one sample at one stage costs that
+    sample: one witness failure, no seen check, and its letters from before
+    the broken stage pooled in `empirical`."""
+    p, p_target, length, samples, rng = 0.9, 0.1, 32, 10, RngConfig(4)
+    stages = plan_parameter_path(p, p_target)
+    clean = coupling_chain_demo(p, p_target, length, samples, rng)
+    assert clean.ok
+    # sample 4 on its own, through the stage before the broken one and to the end
+    gen = rng.stream(3, 4)
+    cur = sample_sequence(p, length * 2 ** len(stages), gen)
+    for stage in stages[:2]:
+        cur = coupling_F(cur, stage.p1, gen)
+    kept = int(cur.sum())
+    for stage in stages[2:]:
+        cur = coupling_F(cur, stage.p1, gen)
+    final = int(cur.sum())
+
+    merge = montecarlo._merge
+    calls = []
+
+    def faulty(x, p1, gens):
+        out = merge(x, p1, gens)
+        calls.append(len(x))
+        if len(calls) == 3:  # the third stage: flip sample 4's first unmixed pair
+            pair = int(np.flatnonzero(x[4, 0::2] == x[4, 1::2])[0])
+            out[4, pair] ^= 1
+        return out
+
+    monkeypatch.setattr(montecarlo, "_merge", faulty)
+    broken = coupling_chain_demo(p, p_target, length, samples, rng)
+    assert calls == [10, 10, 10, 9, 9]
+    assert broken.witness_failures == 1 and not broken.ok
+    letters = samples * length
+    assert broken.empirical == (round(clean.empirical * letters) - final + kept) / letters
 
 
 def test_chain_demo_letter_budget(monkeypatch):

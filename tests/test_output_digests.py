@@ -1,7 +1,9 @@
-"""Byte-identical stdout of the series commands: the sha256 of each one's
-stdout and its exit code, recorded when the v_n tables, the two-block grids
-and the Lemma 4.3 checks still computed in `Fraction`.  Any change to a
-printed value, its format or a verdict moves a digest."""
+"""Byte-identical stdout of the series and simulate commands: the sha256 of
+each one's stdout and its exit code.  The series digests were recorded when
+the v_n tables, the two-block grids and the Lemma 4.3 checks still computed
+in `Fraction`; the `couple`, `verify coupling` and `simulate` digests when
+the coupling chain still ran one sample at a time.  Any change to a printed
+value, its format, a verdict or a seeded stream moves a digest."""
 
 import hashlib
 
@@ -26,6 +28,14 @@ DIGESTS = [
     ("cm --M 6", 0, "ac9335c3d20601e5fe6a213d2bc7349c1fb45f2e69de43e2e0623ca95cf6a6f0"),
     ("cm --M 7", 0, "14896ade5da2374224cd67e55559b595b164cb7c0f899afab5772d91d100be78"),
     ("cm --M 8", 0, "7164cba1a5d8405d066de4391175e329f1b2251c6d927065214378f5323dd96f"),
+    ("couple --p-x 9/10 --p-y 1/10 --n 32 --trials 100 --seed 1", 0, "d9a2d7dad3107c5574127c0344187338493b40c22cdc3f4130534c133008c697"),
+    ("couple --p-x 9/10 --p-y 1/10 --n 32 --trials 100 --seed 2", 0, "bb54245d21a33b61be63d0c1e245e0f4e1ed9e8e004307c831eb2d3b3a24e573"),
+    ("couple --p-x 1/10 --p-y 9/10 --n 32 --trials 100 --seed 1", 0, "2fa89c75b188b6913717c3e31dea7ca64c52b8258b3d39e775ab54781304a45a"),
+    ("couple --p-x 1/2 --p-y 1/2 --n 32 --trials 100 --seed 1", 0, "3f077dc63ecc4865c2b55d4b02ad56f342c6703dff4e10e8484e94e337d43dfa"),
+    ("verify coupling --seed 1", 0, "b5d467c972c76d5c16d076fe2d451605c257a45c85b0f7bd6353514948a3a0cd"),
+    ("verify coupling", 0, "b9ea1851ae49528f0224c2597a20cb9cb7aac618f42f334e6126ef8e7c1b9043"),
+    ("simulate --word 1101 --M 3 --trials 5000 --seed 4", 0, "bff4bb5702d1184158bfd012fba469b4e1138b95edad5a65017dad4b3609c8f9"),
+    ("simulate --p-x 2/5 --p-y 3/5 --n 5 --M 3 --trials 5000 --seed 4", 0, "93ede0d0244e37ec9a8527aa8d1f8f3c2696dc423e76b0b54212eb328f142bd6"),
 ]
 
 
