@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -224,7 +225,10 @@ def cmd_couple(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; main runs cmd_<command> from the module
+    at call time, so a replaced cmd_* is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="wordseen",
         description="Exact values, bounds, verification sweeps, and "
@@ -238,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="alternating-word probability table")
     p_vn.add_argument("--M", type=int, required=True)
     p_vn.add_argument("--N", type=_nonnegative, required=True)
-    p_vn.set_defaults(fn=cmd_vn)
 
     p_verify = subs.add_parser("verify", parents=[common],
                                help="run an invariant suite")
@@ -248,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--N", type=_positive)
     p_verify.add_argument("--trials", type=_positive)
     p_verify.add_argument("--seed", type=int)
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_exact = subs.add_parser("exact", parents=[common],
                               help="exact probability that a word is seen")
@@ -257,19 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--p", type=_probability, default=Fraction(1, 2))
     p_exact.add_argument("--oracle", action="store_true",
                          help="cross-check against full prefix enumeration")
-    p_exact.set_defaults(fn=cmd_exact)
 
     p_max = subs.add_parser("maxword", parents=[common],
                             help="largest seen probability over words of one length")
     p_max.add_argument("--n", type=_positive, required=True)
     p_max.add_argument("--M", type=_positive, required=True)
-    p_max.set_defaults(fn=cmd_maxword)
 
     p_cm = subs.add_parser("cm", parents=[common],
                            help="growth constant of the surplus moment")
     p_cm.add_argument("--M", type=_positive, required=True)
     p_cm.add_argument("--tol", type=float, default=1e-9)
-    p_cm.set_defaults(fn=cmd_cm)
 
     p_two = subs.add_parser("twoblock", parents=[common],
                             help="two-block word: exact value, bound, sandwich")
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.add_argument("--q", type=_nonnegative, required=True,
                        help="zeros-block length")
     p_two.add_argument("--M", type=int, required=True)
-    p_two.set_defaults(fn=cmd_twoblock)
 
     p_sim = subs.add_parser("simulate", parents=[common],
                             help="Monte Carlo estimate of a seen probability")
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random word length (cross mode)")
     p_sim.add_argument("--trials", type=_positive, default=10 ** 5)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(fn=cmd_simulate)
 
     p_couple = subs.add_parser("couple", parents=[common],
                                help="density-changing chain with certificates")
@@ -305,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="final word length")
     p_couple.add_argument("--trials", type=_positive, default=200)
     p_couple.add_argument("--seed", type=int, default=0)
-    p_couple.set_defaults(fn=cmd_couple)
     return parser
 
 
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as err:
         parser.error(str(err))
     except StateCapExceeded as err:

@@ -7,13 +7,14 @@ decided by the first n*M letters of the sequence, so everything here is
 exact and finite.
 
 The decision has one scalar kernel (seen_packed) and one batched kernel
-(batch_seen, 64 rows to a uint64 lane); the exhaustive scans take their
+(batch_seen, up to 64 rows to a lane); the exhaustive scans take their
 prefixes from _prefix_blocks, under one bit budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Sequence, Union
@@ -165,7 +166,12 @@ class Embedding:
 # the seen decision
 # ---------------------------------------------------------------------------
 
-def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], list[int]]:
+class _Dominated(list):
+    """dominated[k2] for each k2 of one word, and cover(mask): the OR of
+    dominated[k] over the bits k of mask, memoized for that word alone."""
+
+
+def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], _Dominated]:
     """_step's tables for one word: match[c] has bit k (1 <= k <= n) where
     w_k = c, and dominated[k2] has bit k < k2 where w[k2:] is a prefix of
     w[k:], so the rest of the word from k2 embeds wherever that from k does."""
@@ -176,11 +182,14 @@ def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], list[int]]:
     joins = [0] * (n + 1)
     for s in range(1, n + 1):
         joins[s + ((word ^ (word >> s)) & ((1 << (n - s)) - 1)).bit_length()] |= 1 << (n - s)
-    dominated = [x >> (n - k2) for k2, x in enumerate(accumulate(joins, or_))]
+    rows = [x >> (n - k2) for k2, x in enumerate(accumulate(joins, or_))]
+    dominated = _Dominated(rows)  # a memo per word: dominance depends on the word
+    dominated.cover = cache(lambda mask: reduce(or_, (r for k, r in enumerate(rows)
+                                                      if mask >> k & 1), 0))
     return (((1 << (n + 1)) - 2) & ~(word << 1), word << 1), dominated
 
 
-def _step(state: tuple, letter: int, match: tuple[int, int], dominated: list[int],
+def _step(state: tuple, letter: int, match: tuple[int, int], dominated: _Dominated,
           M: int) -> tuple:
     """One letter of the frontier behind the exact automaton.  A state lists
     (d, mask) groups, ages ascending, masks nonzero: bit k of mask says the
@@ -189,9 +198,11 @@ def _step(state: tuple, letter: int, match: tuple[int, int], dominated: list[int
     attaches the letter, giving the new age-0 group; the older groups age by
     one, dropping ages >= M.  Walking from the youngest group, a k already
     kept goes, and so does (k, d) when some (k2, d2) with d2 <= d dominates
-    it; one pass suffices by transitivity.  Bit n is left alone in the
-    youngest group when the word is seen, and () means it never will be."""
-    union = 0
+    it.  By transitivity a group's members dominate nothing that the ones
+    it keeps do not, so one memoized cover per group suffices.  Bit n is
+    left alone in the youngest group when the word is seen, and () means it
+    never will be."""
+    union, cover = 0, dominated.cover
     for _, mask in state:
         union |= mask
     out, gone = [], 0
@@ -199,11 +210,8 @@ def _step(state: tuple, letter: int, match: tuple[int, int], dominated: list[int
         d += 1
         if d >= M:
             break
-        bits = mask = mask & ~gone
-        while bits:
-            k = bits.bit_length() - 1
-            gone |= dominated[k]
-            bits &= ~(gone | 1 << k)
+        mask &= ~gone
+        gone |= cover(mask)
         if mask := mask & ~gone:
             out.append((d, mask))
             gone |= mask  # an older group keeps none of these k
@@ -258,38 +266,33 @@ def seen_packed(letters: Bits, y: int, L: int, M: int) -> bool:
 
 
 def _lanes(rows: np.ndarray) -> np.ndarray:
-    """(R, k) 0/1 rows -> (k, ceil(R/64)) uint64: row r is bit r % 64 of lane
-    r // 64.  The bits past row R are zero."""
+    """(R, k) 0/1 rows -> (k, lanes) little-endian lanes of the fewest bytes of
+    1, 2, 4 or 8 that hold ceil(R/8): with B lane bits, row r is bit r % B of
+    lane r // B.  The bits past row R are zero."""
     R, k = rows.shape
-    # rows pad to whole bytes and packed bytes to whole lanes, never to 64 rows
-    if R % 8:
-        rows = np.concatenate([rows, np.zeros((-R % 8, k), dtype=rows.dtype)])
-    # byte b of a lane row ORs rows 8b..8b+7, row 8b+j shifted to bit j
-    g = rows.reshape(len(rows) // 8, 8, k)
-    acc = g[:, 0].copy()
-    for j in range(1, 8):
-        acc |= g[:, j] << j
-    if len(acc) % 8:
-        acc = np.concatenate([acc, np.zeros((-len(acc) % 8, k), dtype=np.uint8)])
-    return np.ascontiguousarray(acc.T).view(np.uint64)
+    width = min(8, 1 << (max(-(-R // 8), 1) - 1).bit_length())  # bytes per lane
+    packed = np.packbits(np.ascontiguousarray(rows.T), axis=1, bitorder="little")
+    if packed.shape[1] % width:
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % width)))
+    return packed.view(f"<u{width}")
 
 
 def batch_seen(words: np.ndarray, ys: np.ndarray, M: int) -> np.ndarray:
     """Reachability over rows: words against ys (R, L), one bool per row.
 
     words is (R, n), one word per row, or (1, n), one word for every row.
-    The bitset kernel of seen_packed turned on its side: bit r % 64 of
-    reach[m, r // 64] says row r's word prefix can end at position m, so
-    each letter costs O(log M) doubling shifts of whole (L + 1, R/64) arrays.
-    Padding bits past row R are cut off at the end.
+    The bitset kernel of seen_packed turned on its side: with the B-bit
+    lanes of _lanes, bit r % B of reach[m, r // B] says row r's word prefix
+    can end at position m, so each letter costs O(log M) doubling shifts of
+    whole (L + 1, R/B) arrays.  Padding bits past row R are cut off at the end.
     """
     R, L = ys.shape
     Y = _lanes(ys)
+    zero = Y.dtype.type(0)
     # a single word row turns each letter into an all-0 or an all-1 lane
-    W = (np.where(words[0] == 1, ~np.uint64(0), np.uint64(0)) if len(words) == 1
-         else _lanes(words))
-    reach = np.zeros((L + 1, Y.shape[1]), dtype=np.uint64)
-    reach[0] = ~np.uint64(0)
+    W = np.where(words[0] == 1, ~zero, zero) if len(words) == 1 else _lanes(words)
+    reach = np.zeros((L + 1, Y.shape[1]), dtype=Y.dtype)
+    reach[0] = ~zero
     steps = _smear_steps(M)
     for letter in W:
         for s in steps:

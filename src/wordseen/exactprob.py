@@ -28,13 +28,17 @@ DEAD = "DEAD"
 # Subset states one automaton may discover.
 _STATE_CAP = 10 ** 6
 
+# Bits seen_probability may hold: size * n*M * bit_length(b) bounds its values.
+_VALUE_BITS = 1 << 32
+
 
 # Word length up to which max_word_probability searches the 2^n words.
 _WORD_BITS = 20
 
 
 class StateCapExceeded(RuntimeError):
-    """Raised when subset-state discovery outgrows _STATE_CAP."""
+    """Raised when subset-state discovery outgrows _STATE_CAP, or valuing the
+    automaton outgrows _VALUE_BITS."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,13 @@ class ProbAutomaton:
     def seen_probability(self, p: Rational) -> Fraction:
         """At p = a/b a state is worth A / b^e: ACCEPT (1, 0), DEAD (0, 0), and a
         state with letter weights (b - a, a) into (A0, e0) and (A1, e1) has
-        e = 1 + max(e0, e1), A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1)."""
+        e = 1 + max(e0, e1), A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1).
+        Every state is ACCEPT or DEAD by letter n*M, so A < b^e with e <= n*M,
+        and an automaton whose values may outgrow _VALUE_BITS is refused."""
         a, b = _check_prob(Fraction(p)).as_integer_ratio()
+        if self.size * self.word.n * self.M * b.bit_length() > _VALUE_BITS:
+            raise StateCapExceeded(f"valuing {self.size} states over {self.word.n * self.M} "
+                                   f"letters at p = {a}/{b} exceeds {_VALUE_BITS} bits")
         w0, powers = b - a, [1]  # powers[k] = b^k
         def combine(_, v0, v1):
             (A0, e0), (A1, e1) = v0, v1
@@ -121,6 +130,9 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
     if not 1 <= origin_cap <= M:
         raise ValueError(f"first gap cap must be in [1, {M}], got {origin_cap}")
     n = w.n
+    over = f"automaton for word of length {n}, M={M} exceeded {_STATE_CAP} states"
+    if n and origin_cap + 1 > _STATE_CAP:  # the origin's ages alone, then DEAD
+        raise StateCapExceeded(over)
     match, dominated = _frontier_tables(w.letters)
     states: list = []
     index: dict = {}
@@ -131,16 +143,16 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
         i = index.setdefault(state, len(states))
         if i == len(states):
             if i >= _STATE_CAP:
-                raise StateCapExceeded(f"automaton for word of length {n}, M={M} "
-                                       f"exceeded {_STATE_CAP} states")
+                raise StateCapExceeded(over)
             states.append(state)
         return i
 
     number(((M - origin_cap, 1),))
     transitions = []
     for i, state in enumerate(states):  # states grows as the loop finds them
-        transitions.append((i, i) if state in (ACCEPT, DEAD) else tuple(
-            number(_step(state, c, match, dominated, M)) for c in (0, 1)))
+        transitions.append((i, i) if state in (ACCEPT, DEAD) else (
+            number(_step(state, 0, match, dominated, M)),
+            number(_step(state, 1, match, dominated, M))))
     return ProbAutomaton(w, M, tuple(states), tuple(transitions))
 
 

@@ -393,3 +393,22 @@ def test_a_key_error_in_a_subcommand_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_vn", broken)
     with pytest.raises(KeyError, match="bug"):
         main(["vn", "--M", "2", "--N", "3"])
+
+
+def test_one_parser_per_process(capsys):
+    """The parser is built once, and a usage error leaves nothing in it that
+    changes what the next command prints."""
+    assert cli.build_parser() is cli.build_parser()
+    alone = run(capsys, "exact", "--word", "101", "--M", "2")
+    assert run_error("exact", "--M", "2") == 2
+    capsys.readouterr()
+    assert run(capsys, "exact", "--word", "101", "--M", "2") == alone == (
+        0, "word,M,p,probability,decimal\n101,2,1/2,17/32,0.531250000000\n")
+
+
+def test_an_origin_over_the_state_cap_exits_two_at_once(capsys):
+    # the origin of a one-letter word alone has 3 * 10^6 ages, then DEAD
+    start = time.perf_counter()
+    assert run_error("exact", "--word", "1", "--M", "3000000") == 2
+    assert time.perf_counter() - start < 1
+    assert "exceeded 1000000 states" in capsys.readouterr().err

@@ -212,6 +212,82 @@ def test_state_cap(monkeypatch):
         build_automaton(BinaryWord.alternating(1, 8), 3)
 
 
+def test_origin_over_the_state_cap_is_refused_before_any_step(monkeypatch):
+    """A nonempty word's origin alone has origin_cap ages, then DEAD."""
+    def no_step(*args):
+        raise AssertionError("_step ran")
+
+    monkeypatch.setattr(exactprob, "_STATE_CAP", 5)
+    monkeypatch.setattr(exactprob, "_step", no_step)
+    for M, first_gap in ((5, None), (9, 5), (9, 7)):
+        with pytest.raises(StateCapExceeded, match="exceeded 5 states"):
+            build_automaton("1", M, first_gap=first_gap)
+    assert build_automaton("", 9).states == (ACCEPT,)
+
+
+def test_value_bits_are_refused_before_the_pass(monkeypatch):
+    """size * n*M * bit_length(b) over _VALUE_BITS is refused up front."""
+    aut = build_automaton("101", 2)
+    bits = aut.size * 6 * 2  # p = 1/2: b = 2 has 2 bits
+    monkeypatch.setattr(exactprob, "_VALUE_BITS", bits)
+    assert aut.seen_probability(Fraction(1, 2)) == Fraction(17, 32)
+    with pytest.raises(StateCapExceeded, match=f"exceeds {bits} bits"):
+        aut.seen_probability(Fraction(1, 5))  # b = 5 has 3 bits
+    monkeypatch.setattr(exactprob, "_VALUE_BITS", bits - 1)
+    with pytest.raises(StateCapExceeded, match=f"exceeds {bits - 1} bits"):
+        aut.seen_probability(Fraction(1, 2))
+
+
+def _reference_step(state, letter, match, dominated, M):
+    """core._step with its earlier per-member pruning: each member not yet
+    gone, highest first, adds what it dominates to gone."""
+    union = 0
+    for _, mask in state:
+        union |= mask
+    out, gone = [], 0
+    for d, mask in ((-1, (union << 1) & match[letter]), *state):
+        d += 1
+        if d >= M:
+            break
+        bits = mask = mask & ~gone
+        while bits:
+            k = bits.bit_length() - 1
+            gone |= dominated[k]
+            bits &= ~(gone | 1 << k)
+        if mask := mask & ~gone:
+            out.append((d, mask))
+            gone |= mask
+    return tuple(out)
+
+
+def _reference_automaton(monkeypatch, word, M, first_gap=None):
+    with monkeypatch.context() as m:
+        m.setattr(exactprob, "_step", _reference_step)
+        aut = build_automaton(word, M, first_gap=first_gap)
+    return aut.states, aut.transitions
+
+
+def test_memoized_cover_matches_per_member_pruning(monkeypatch):
+    for n in range(9):
+        for letters in itertools.product((0, 1), repeat=n):
+            for M in range(1, 5):
+                for first_gap in (None, *range(1, M + 1)):
+                    aut = build_automaton(letters, M, first_gap=first_gap)
+                    assert (aut.states, aut.transitions) == _reference_automaton(
+                        monkeypatch, letters, M, first_gap)
+
+
+def test_no_cover_is_shared_across_words(monkeypatch):
+    """Dominance depends on the word, so words whose frontiers share masks
+    give their own automata however their builds interleave."""
+    words = ["10", "11", "0110", "0101", "1101", "1011"]
+    want = {w: _reference_automaton(monkeypatch, w, 3) for w in words}
+    for a, b in itertools.permutations(words, 2):
+        for w in (a, b, a, b):
+            aut = build_automaton(w, 3)
+            assert (aut.states, aut.transitions) == want[w]
+
+
 def test_first_gap_split():
     """Restricting the first hit to land at position 1 vs anywhere splits the
     total probability."""

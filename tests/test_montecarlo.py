@@ -156,17 +156,20 @@ def test_batch_seen_across_lane_boundaries(R):
 
 
 def test_lanes_match_a_bit_loop():
-    """Row r is bit r % 64 of lane r // 64, padding bits are zero, and a
-    batch of fewer than 64 rows packs into one lane per column."""
+    """Lanes are the fewest bytes of 1, 2, 4 or 8 that hold ceil(R/8); with B
+    lane bits, row r is bit r % B of lane r // B, padding bits are zero, and
+    a batch of at most 64 rows packs into one lane per column."""
     gen = np.random.default_rng(9)
-    for R in (1, 7, 8, 63, 64, 65, 130):
+    for R, width in ((1, 1), (7, 1), (8, 1), (9, 2), (16, 2), (17, 4), (33, 8),
+                     (63, 8), (64, 8), (65, 8), (130, 8)):
         rows = gen.integers(0, 2, (R, 11), dtype=np.uint8)
-        want = np.zeros((11, -(-R // 64)), dtype=np.uint64)
+        B = 8 * width
+        want = np.zeros((11, -(-R // B)), dtype=np.uint64)
         for r in range(R):
             for c in range(11):
-                want[c, r // 64] |= np.uint64(rows[r, c]) << np.uint64(r % 64)
+                want[c, r // B] |= np.uint64(rows[r, c]) << np.uint64(r % B)
         got = core._lanes(rows)
-        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert got.dtype == np.dtype(f"<u{width}") and got.shape == want.shape
         assert (got == want).all()
 
 

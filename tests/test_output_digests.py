@@ -1,9 +1,12 @@
-"""Byte-identical stdout of the series and simulate commands: the sha256 of
-each one's stdout and its exit code.  The series digests were recorded when
-the v_n tables, the two-block grids and the Lemma 4.3 checks still computed
-in `Fraction`; the `couple`, `verify coupling` and `simulate` digests when
-the coupling chain still ran one sample at a time.  Any change to a printed
-value, its format, a verdict or a seeded stream moves a digest."""
+"""Byte-identical stdout of the exact, exhaustive, series and simulate
+commands: the sha256 of each one's stdout and its exit code.  The series
+digests were recorded when the v_n tables, the two-block grids and the
+Lemma 4.3 checks still computed in `Fraction`; the `couple`, `verify
+coupling` and `simulate` digests when the coupling chain still ran one
+sample at a time; the `exact`, `maxword`, `thm1a`, `thm3` and `thm4` digests
+when `core._step` still pruned each age group member by member and `cli`
+built a new parser per call.  Any change to a printed value, its format, a
+verdict or a seeded stream moves a digest."""
 
 import hashlib
 
@@ -12,6 +15,19 @@ import pytest
 from wordseen import cli
 
 DIGESTS = [
+    ("exact --word 01010101010101 --M 6", 0, "bcbef06e95dbdf1e5e138d4c8aec1061ecf5f018e3e990094d07e1bfe44944f2"),
+    ("exact --word 01010101010101 --M 5 --p 1/3", 0, "24a1ba0af46830bbbbf3875d6b1c89ee69111c683e030381e02b86fe8a0d74a6"),
+    ("exact --word 01010101010101010101010101 --M 3", 0, "efdf1e1946669d327670b2500b8542ce30abb27b3e849c5f02a2c68b35c1aaf4"),
+    ("exact --twoblock 5 5 --M 6 --p 1/3", 0, "15c989efc6754c1d3427295fc1d2218dbe44cfd7902aabe6e9a3246a2021b779"),
+    ("exact --twoblock 10 6 --M 4", 0, "35e80c03c4168c36fa31354a28d4a27d689db49208d4fde6aacc76ecdb1da0ad"),
+    ("exact --word 1111000101 --M 6", 0, "2e2d6c2d6b6bfb4fb47fffa688a1e21d7823a2b2a9c87c545342fe2d2d2b7a42"),
+    ("exact --word 01111010111000 --M 4 --p 1/3", 0, "445fe789edf26ea045324fe4f6b10853fcb713e4cd291205da00e47a085d2db6"),
+    ("exact --word 001001111001111010 --M 3", 0, "7ca908198b009e6bd4619245f2fd44ed14efa2535b93c118856204712aaa7347"),
+    ("exact --word 11100111010 --M 5 --p 1/3", 0, "4f8b4c5d83b8e6256f11f85a726b5f1ab16b54db0f2f38bf293160445bb8bac4"),
+    ("maxword --n 8 --M 2", 0, "8cd48c64b3e62c8cc02197c97bd1098547bce950bcbe02c10a29a004ba26f5cd"),
+    ("verify thm1a --n 6", 0, "989111cb422235ac8914a2bb8f9490b8ca9e64fbc9c8ac41ae9f95f93a1950f6"),
+    ("verify thm3 --n 5", 0, "e6dd8abd1b88bbc7698808e1e5f5620ccace9b0c6ee2dbac6aa38b22f449b58e"),
+    ("verify thm4", 0, "961837fce14355d4c7e3b085cc96837a07fb49a2293433d8f80e00de9c11008a"),
     ("verify lemma43", 0, "79b092646df3d51f283a2501d917ced6b2095a110dba2364aad3a6ca81c218ca"),
     ("verify renewal", 0, "2d7684ed37c0e64af5c3052ce002e913906bd15f98178927aa3885c5a643b458"),
     ("verify renewal --M 8", 0, "f0eb49a0c85bbe915024039aed2e1c8e61693b8c0f39f1506a0011ead1e4c9ac"),
