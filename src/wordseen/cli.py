@@ -3,8 +3,8 @@
 Every subcommand is deterministic given its flags.  Exact values print as
 num/den plus a 12-digit decimal; --format picks csv (default) or json for
 the tables, while verify prints its plain-text report under either; --out
-redirects to a file.  Exit codes: 0 success, 1 verification failure, 2 usage
-error or resource limit.
+redirects to a file.  Exit codes: 0 success, 1 verification failure (a failed
+certificate included), 2 usage error or resource limit.
 """
 
 from __future__ import annotations
@@ -318,6 +318,8 @@ def main(argv=None) -> int:
         parser.error(str(err))
     except StateCapExceeded as err:
         parser.exit(2, f"{parser.prog}: resource limit: {err}\n")
+    except AssertionError as err:  # a certificate a suite does not report itself
+        parser.exit(1, f"{parser.prog}: verification failed: {err}\n")
     except OSError as err:  # --out names a path that cannot be written
         parser.exit(2, f"{parser.prog}: cannot write output: {err}\n")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -166,15 +166,11 @@ class Embedding:
 # the seen decision
 # ---------------------------------------------------------------------------
 
-class _Dominated(list):
-    """dominated[k2] for each k2 of one word, and cover(mask): the OR of
-    dominated[k] over the bits k of mask, memoized for that word alone."""
-
-
-def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], _Dominated]:
+def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], Callable[[int], int]]:
     """_step's tables for one word: match[c] has bit k (1 <= k <= n) where
-    w_k = c, and dominated[k2] has bit k < k2 where w[k2:] is a prefix of
-    w[k:], so the rest of the word from k2 embeds wherever that from k does."""
+    w_k = c, and cover(mask), memoized for this word alone, has bit k < k2 for
+    a bit k2 of mask where w[k2:] is a prefix of w[k:], so the rest of the
+    word from k2 embeds wherever that from k does."""
     n = len(letters)
     word = sum(c << j for j, c in enumerate(letters))  # bit j = w[j]
     # that is, shift s = k2 - k has no mismatch w[j] != w[j + s] at j >= k:
@@ -183,13 +179,11 @@ def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], _Dominated]:
     for s in range(1, n + 1):
         joins[s + ((word ^ (word >> s)) & ((1 << (n - s)) - 1)).bit_length()] |= 1 << (n - s)
     rows = [x >> (n - k2) for k2, x in enumerate(accumulate(joins, or_))]
-    dominated = _Dominated(rows)  # a memo per word: dominance depends on the word
-    dominated.cover = cache(lambda mask: reduce(or_, (r for k, r in enumerate(rows)
-                                                      if mask >> k & 1), 0))
-    return (((1 << (n + 1)) - 2) & ~(word << 1), word << 1), dominated
+    cover = cache(lambda mask: reduce(or_, (r for k, r in enumerate(rows) if mask >> k & 1), 0))
+    return (((1 << (n + 1)) - 2) & ~(word << 1), word << 1), cover
 
 
-def _step(state: tuple, letter: int, match: tuple[int, int], dominated: _Dominated,
+def _step(state: tuple, letter: int, match: tuple[int, int], cover: Callable[[int], int],
           M: int) -> tuple:
     """One letter of the frontier behind the exact automaton.  A state lists
     (d, mask) groups, ages ascending, masks nonzero: bit k of mask says the
@@ -199,10 +193,10 @@ def _step(state: tuple, letter: int, match: tuple[int, int], dominated: _Dominat
     one, dropping ages >= M.  Walking from the youngest group, a k already
     kept goes, and so does (k, d) when some (k2, d2) with d2 <= d dominates
     it.  By transitivity a group's members dominate nothing that the ones
-    it keeps do not, so one memoized cover per group suffices.  Bit n is
+    it keeps do not, so one cover(mask) per group suffices.  Bit n is
     left alone in the youngest group when the word is seen, and () means it
     never will be."""
-    union, cover = 0, dominated.cover
+    union = 0
     for _, mask in state:
         union |= mask
     out, gone = [], 0
@@ -494,10 +488,14 @@ def count_embeddings(letters: Bits, ys: np.ndarray, M: int) -> np.ndarray:
     counts[:, m] holds the embeddings of the word's first k letters that
     end at position m (column 0 is the origin).  The next letter sums the
     M columns before each position, as differences of one cumsum, and keeps
-    the positions that show it.  An embedding is a set of positions, so a
-    count is at most 2^L and int64 is exact for L < 63.
+    the positions that show it.  An embedding is a set of positions and a
+    choice of n gaps, so every count is at most min(2^L, M^n); int64 is exact
+    up to 2^62, and inputs whose counts could pass that are refused.
     """
     R, L = ys.shape
+    if min(L, len(letters) * (M - 1).bit_length()) > 62:
+        raise ValueError(f"embedding counts of a word of length {len(letters)} in "
+                         f"{L} letters at M = {M} may overflow int64")
     counts = np.zeros((R, L + 1), dtype=np.int64)
     counts[:, 0] = 1
     for letter in letters:

@@ -28,7 +28,7 @@ DEAD = "DEAD"
 # Subset states one automaton may discover.
 _STATE_CAP = 10 ** 6
 
-# Bits seen_probability may hold: size * n*M * bit_length(b) bounds its values.
+# Bits a valuation may hold, over all its integers (see _value_ratio).
 _VALUE_BITS = 1 << 32
 
 
@@ -87,10 +87,7 @@ class ProbAutomaton:
         e = 1 + max(e0, e1), A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1).
         Every state is ACCEPT or DEAD by letter n*M, so A < b^e with e <= n*M,
         and an automaton whose values may outgrow _VALUE_BITS is refused."""
-        a, b = _check_prob(Fraction(p)).as_integer_ratio()
-        if self.size * self.word.n * self.M * b.bit_length() > _VALUE_BITS:
-            raise StateCapExceeded(f"valuing {self.size} states over {self.word.n * self.M} "
-                                   f"letters at p = {a}/{b} exceeds {_VALUE_BITS} bits")
+        a, b = _value_ratio(self.size, self.word.n * self.M, p)
         w0, powers = b - a, [1]  # powers[k] = b^k
         def combine(_, v0, v1):
             (A0, e0), (A1, e1) = v0, v1
@@ -105,8 +102,9 @@ class ProbAutomaton:
         """P(word[:j] is M-seen) for j = 0..n: pruning never changes whether a
         prefix is reached, so this one automaton decides each.  Entry j of a
         state is b^e if it holds some k >= j (ACCEPT holds n, DEAD none), else
-        the sum of its successors' entries j weighed as in seen_probability."""
-        a, b = _check_prob(Fraction(p)).as_integer_ratio()
+        the sum of its successors' entries j weighed as in seen_probability:
+        n + 1 integers per state, each as large as seen_probability's."""
+        a, b = _value_ratio(self.size * (self.word.n + 1), self.word.n * self.M, p)
         def combine(state, v0, v1):
             (A0, e0), (A1, e1) = v0, v1
             e = 1 + max(e0, e1)
@@ -117,6 +115,32 @@ class ProbAutomaton:
         return tuple(Fraction(x, b ** e) for x in A)
 
 
+def _value_ratio(values: int, letters: int, p: Rational) -> tuple[int, int]:
+    """p as a/b, after refusing a valuation of that many integers, each below
+    b^letters, when their bits may outgrow _VALUE_BITS."""
+    a, b = _check_prob(Fraction(p)).as_integer_ratio()
+    if values * letters * b.bit_length() > _VALUE_BITS:
+        raise StateCapExceeded(f"valuing {values} integers over {letters} letters "
+                               f"at p = {a}/{b} exceeds {_VALUE_BITS} bits")
+    return a, b
+
+
+def _over_cap(n: int, M: int) -> StateCapExceeded:
+    return StateCapExceeded(f"automaton for word of length {n}, M={M} exceeded {_STATE_CAP} states")
+
+
+def _origin_cap(n: int, M: int, first_gap: int | None) -> int:
+    """The origin's slack, first_gap or else M, after refusing a bad window or
+    cap and a nonempty word whose origin's ages and DEAD pass _STATE_CAP."""
+    _check_window(M)
+    origin_cap = M if first_gap is None else first_gap
+    if not 1 <= origin_cap <= M:
+        raise ValueError(f"first gap cap must be in [1, {M}], got {origin_cap}")
+    if n and origin_cap + 1 > _STATE_CAP:
+        raise _over_cap(n, M)
+    return origin_cap
+
+
 def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> ProbAutomaton:
     """Worklist subset construction over core._step, from the origin alone.
 
@@ -125,15 +149,9 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
     origin starts at age M - first_gap, so its slack is first_gap.
     """
     w = as_word(word)
-    _check_window(M)
-    origin_cap = M if first_gap is None else first_gap
-    if not 1 <= origin_cap <= M:
-        raise ValueError(f"first gap cap must be in [1, {M}], got {origin_cap}")
     n = w.n
-    over = f"automaton for word of length {n}, M={M} exceeded {_STATE_CAP} states"
-    if n and origin_cap + 1 > _STATE_CAP:  # the origin's ages alone, then DEAD
-        raise StateCapExceeded(over)
-    match, dominated = _frontier_tables(w.letters)
+    origin_cap = _origin_cap(n, M, first_gap)
+    match, cover = _frontier_tables(w.letters)
     states: list = []
     index: dict = {}
 
@@ -143,7 +161,7 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
         i = index.setdefault(state, len(states))
         if i == len(states):
             if i >= _STATE_CAP:
-                raise StateCapExceeded(over)
+                raise _over_cap(n, M)
             states.append(state)
         return i
 
@@ -151,15 +169,19 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
     transitions = []
     for i, state in enumerate(states):  # states grows as the loop finds them
         transitions.append((i, i) if state in (ACCEPT, DEAD) else (
-            number(_step(state, 0, match, dominated, M)),
-            number(_step(state, 1, match, dominated, M))))
+            number(_step(state, 0, match, cover, M)),
+            number(_step(state, 1, match, cover, M))))
     return ProbAutomaton(w, M, tuple(states), tuple(transitions))
 
 
 def exact_seen_probability(word: WordLike, M: int, p: Rational = Fraction(1, 2),
                            first_gap: int | None = None) -> Fraction:
-    """P(word is M-seen) for iid letters with P(letter = 1) = p, exactly."""
-    return build_automaton(word, M, first_gap=first_gap).seen_probability(p)
+    """P(word is M-seen) for iid letters with P(letter = 1) = p, exactly.  A
+    nonempty word's automaton holds the origin's ages and DEAD at least, so a
+    valuation over _VALUE_BITS for that many states is refused before the build."""
+    w = as_word(word)
+    _value_ratio(_origin_cap(w.n, M, first_gap) + 1, w.n * M, p)
+    return build_automaton(w, M, first_gap=first_gap).seen_probability(p)
 
 
 def exhaustive_seen_probability(word: WordLike, M: int,

@@ -315,6 +315,4 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
     else:
         raise RuntimeError(f"ratio iteration did not settle within {_MAX_TERMS} steps")
 
-    out = GrowthConstant(by_bisection, by_ratio)
-    assert out.by_bisection > 1
-    return out
+    return GrowthConstant(by_bisection, by_ratio)

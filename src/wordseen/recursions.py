@@ -27,14 +27,19 @@ _VN_BUDGET = 1 << 24
 _GRID_MAX = 40
 
 
+def _certify(holds: bool, what: str) -> None:
+    """Raise AssertionError naming a certificate that fails; unlike assert, it
+    also runs under python -O."""
+    if not holds:
+        raise AssertionError(f"certificate fails: {what}")
+
+
 def _inv_beta(M: int) -> int:
-    """1/beta = 2^M for a window M >= 2, where alpha - M*beta > 0, which
-    everything in this module needs."""
+    """1/beta = 2^M for a window M >= 2, where alpha - M*beta > 0 (2^M > 1 + M),
+    which everything in this module needs."""
     if M < 2:
         raise ValueError(f"window M must be >= 2, got {M}")
-    A = 1 << M
-    assert A - 1 - M > 0  # 2^M (alpha - M*beta)
-    return A
+    return 1 << M
 
 
 def alpha_beta(M: int) -> tuple[Fraction, Fraction]:
@@ -123,10 +128,10 @@ def char_poly(M: int) -> CharPoly:
     b = -(alpha + (M - 1) * beta)
     c = beta * (M - 2 * alpha)
     f = lambda x: x * x + b * x + c
-    assert f(Fraction(0)) > 0
-    assert f(M * beta) < 0
-    assert f(alpha) < 0
-    assert f(Fraction(1)) == 2 * beta ** 2 > 0
+    _certify(f(Fraction(0)) > 0, f"M={M}: f(0) > 0")
+    _certify(f(M * beta) < 0, f"M={M}: f(M*beta) < 0")
+    _certify(f(alpha) < 0, f"M={M}: f(alpha) < 0")
+    _certify(f(Fraction(1)) == 2 * beta ** 2 > 0, f"M={M}: f(1) = 2*beta^2 > 0")
     # -b > 0, so the larger root adds two positives; Vieta gives the smaller
     large = (-float(b) + sqrt(b * b - 4 * c)) / 2
     return CharPoly(b, c, float(c) / large, large)
@@ -234,9 +239,7 @@ def _two_block_grids(M: int, P: int, Q: int) -> tuple[list[list[int]], ...]:
                 from_prime += (sigma_prime[p][q] >> M) - (from_prime >> M)
                 w_val += sigma[p][q] - (w_val >> M)
             from_sigma = alpha_p[p] - (w_val >> M)
-            if from_prime != from_sigma:
-                raise AssertionError(
-                    f"u expressions disagree at M={M}, p={p}, q={q}")
+            _certify(from_prime == from_sigma, f"u expressions agree at M={M}, p={p}, q={q}")
             u_row.append(from_sigma)
             w_row.append(w_val)
         u.append(u_row)
@@ -282,7 +285,7 @@ class PolyPQ:
 
 def pq_polynomials(M: int) -> PolyPQ:
     """P(x) = (1+x)^M [1-(alpha-beta)x] - 1 - (M+beta-alpha)x + x^2(M-2alpha)
-    and its cofactor Q, with the structural identities asserted on the
+    and its cofactor Q, with the structural identities certified on the
     integer coefficients of 2^M P and 2^M Q."""
     A = _inv_beta(M)
     binom = [comb(M, k) for k in range(M + 1)] + [0]
@@ -292,19 +295,19 @@ def pq_polynomials(M: int) -> PolyPQ:
     p_coeffs[1] -= M * A - A + 2
     p_coeffs[2] += M * A - 2 * A + 2
 
-    assert sum(p_coeffs) == 0  # P(1) = 2^M (1 - alpha + beta) - 2 = 0
-    assert p_coeffs[0] == 0 and p_coeffs[1] == 0
-    assert p_coeffs[2] == A * binom[2] - 2 * (A - 1 - M)
+    _certify(sum(p_coeffs) == 0, f"M={M}: P(1) = 0")  # 2^M (1 - alpha + beta) - 2
+    _certify(p_coeffs[0] == 0 and p_coeffs[1] == 0, f"M={M}: P's x^0 and x^1 terms vanish")
+    _certify(p_coeffs[2] == A * binom[2] - 2 * (A - 1 - M), f"M={M}: P's x^2 term")
     for k in range(3, M + 2):
-        assert p_coeffs[k] == A * binom[k] - (A - 2) * binom[k - 1]
+        _certify(p_coeffs[k] == A * binom[k] - (A - 2) * binom[k - 1], f"M={M}: P's x^{k} term")
 
     q_coeffs = list(accumulate(p_coeffs[:-1]))
-    assert q_coeffs[-1] + p_coeffs[-1] == 0  # exact division by (1 - x)
+    _certify(q_coeffs[-1] + p_coeffs[-1] == 0, f"M={M}: (1 - x) divides P")
     # partial-sum identity: for 2 <= l <= M the coefficient of x^l in Q is
     # C(M,l) - 2*beta*sum_{k=l}^M C(M,k), equal to 1 - 2*beta at l = M
     for l in range(2, M + 1):
-        assert q_coeffs[l] == A * binom[l] - 2 * sum(binom[l:])
-    assert q_coeffs[M] == A - 2
+        _certify(q_coeffs[l] == A * binom[l] - 2 * sum(binom[l:]), f"M={M}: Q's x^{l} term")
+    _certify(q_coeffs[M] == A - 2, f"M={M}: Q's x^M term is 1 - 2*beta")
     return PolyPQ(tuple(Fraction(c, A) for c in p_coeffs),
                   tuple(Fraction(c, A) for c in q_coeffs))
 
@@ -322,12 +325,11 @@ def sigma_generating_identity(M: int, p: int, order: int) -> bool:
     power = np.ones(1, dtype=object)  # object dtype: exact
     for _ in range(p):
         power = np.convolve(power, base)
-    assert all(c == 0 for c in power[:p])  # divisible by x^p
     rhs = list(power[p:]) + [0] * (order + 1)  # zero past the degree
 
     sig = _sigma_row(M, p, order + 1)
-    return all((sig[1] if t == 0 else sig[t + 1] - sig[t]) == rhs[t]
-               for t in range(order + 1))
+    return all(c == 0 for c in power[:p]) and all(  # divisible by x^p, then equal
+        (sig[1] if t == 0 else sig[t + 1] - sig[t]) == rhs[t] for t in range(order + 1))
 
 
 # ---------------------------------------------------------------------------

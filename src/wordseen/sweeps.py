@@ -286,14 +286,22 @@ def sweep_polynomial_certificates() -> SweepResult:
     res = SweepResult(f"polynomial certificates: Q >= 0 for M <= {M_coeff_max}, "
                       f"difference grids p,q <= {grid}")
     for M in range(2, M_coeff_max + 1):
-        poly = pq_polynomials(M)
+        try:
+            poly = pq_polynomials(M)
+        except AssertionError as err:
+            res.fail(str(err))
+            continue
         bad = [i for i, c in enumerate(poly.q_coeffs) if c < 0]
         if bad:
             res.fail(f"M={M}: negative cofactor coefficients at {bad}")
     K = 2 * (grid + 1)
     for M in (2, 3, 4, 5):
         # integer grids over 2^(MK); the differences carry 2^(2M) more
-        _, _, u, w, _ = _two_block_grids(M, grid + 1, grid + 1)
+        try:
+            _, _, u, w, _ = _two_block_grids(M, grid + 1, grid + 1)
+        except AssertionError as err:
+            res.fail(str(err))
+            continue
         A, scale = 1 << M, 1 << M * (K + 2)
         powers = [[(A - 1) ** p << M * (K - p)] * (grid + 2) for p in range(grid + 2)]
         for p in range(grid + 1):

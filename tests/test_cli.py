@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -412,3 +413,39 @@ def test_an_origin_over_the_state_cap_exits_two_at_once(capsys):
     assert run_error("exact", "--word", "1", "--M", "3000000") == 2
     assert time.perf_counter() - start < 1
     assert "exceeded 1000000 states" in capsys.readouterr().err
+
+
+def test_values_over_the_budget_exit_two_before_the_build(monkeypatch, capsys):
+    # the origin's 200,000 ages and DEAD already hold 200,001 * 200,000 * 2
+    # bits, over 2^32: refused before the build
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    monkeypatch.setattr(exactprob, "build_automaton", unreachable)
+    assert run_error("exact", "--word", "1", "--M", "200000") == 2
+    assert "exceeds 4294967296 bits" in capsys.readouterr().err
+    # a bad first gap or p is still refused as such, not as over the budget
+    with pytest.raises(ValueError, match="first gap cap"):
+        exactprob.exact_seen_probability("1", 200000, first_gap=0)
+    with pytest.raises(ValueError, match="strictly between"):
+        exactprob.exact_seen_probability("1", 200000, p=Fraction(3, 2))
+
+
+def test_a_broken_certificate_is_a_fail_line(monkeypatch, capsys):
+    """Lemma 4.3's identities raise, under python -O too, and lemma43 reports
+    the one that broke as a FAIL line with exit 1."""
+    monkeypatch.setattr(recursions, "accumulate", lambda xs: [0] * (len(xs) - 1) + [1])
+    code, out = run(capsys, "verify", "lemma43")
+    lines = out.splitlines()
+    assert code == 1 and lines[-1].startswith("FAIL (")
+    assert "FAIL: certificate fails: M=2: (1 - x) divides P" in lines
+    assert capsys.readouterr().err == ""
+
+
+def test_a_certificate_no_suite_reports_exits_one(monkeypatch, capsys):
+    # char_poly's sign pattern fails on swapped alpha and beta; thm1a does
+    # not catch it, and main turns it into exit 1 and one line
+    monkeypatch.setattr(recursions, "alpha_beta", lambda M: (Fraction(1, 4), Fraction(3, 4)))
+    assert run_error("verify", "thm1a", "--n", "2") == 1
+    err = capsys.readouterr().err
+    assert err == "wordseen: verification failed: certificate fails: M=2: f(M*beta) < 0\n"

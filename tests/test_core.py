@@ -214,29 +214,29 @@ def test_packed_matches_scalar_exhaustively(M):
 
 def test_frontier_walkthrough():
     """The automaton step: (age, mask) groups of embeddable prefix lengths."""
-    match, dominated = _frontier_tables((1, 1))
+    match, cover = _frontier_tables((1, 1))
     start = ((0, 0b1),)                       # the origin, slack M
-    f = _step(start, 0, match, dominated, 2)
+    f = _step(start, 0, match, cover, 2)
     assert f == ((1, 0b1),)                   # the origin, one letter older
-    f = _step(f, 1, match, dominated, 2)      # hit at position 2
+    f = _step(f, 1, match, cover, 2)          # hit at position 2
     assert f == ((0, 0b10),)
-    f = _step(f, 1, match, dominated, 2)
+    f = _step(f, 1, match, cover, 2)
     assert f == ((0, 0b100),)                 # the whole word is embedded
-    assert _step(start, 0, match, dominated, 1) == ()
+    assert _step(start, 0, match, cover, 1) == ()
     # a hit at position 1 dominates the origin: w[1:] = 1 is a prefix of
     # w[0:] = 11, and the hit is younger
-    assert _step(start, 1, match, dominated, 2) == ((0, 0b10),)
+    assert _step(start, 1, match, cover, 2) == ((0, 0b10),)
     # an origin capped at gap 1 starts at age M - 1 and dies after one miss
-    assert _step(((1, 0b1),), 0, match, dominated, 2) == ()
+    assert _step(((1, 0b1),), 0, match, cover, 2) == ()
 
 
 def test_dominated_matches_its_definition():
     for n in range(9):
         for letters in itertools.product((0, 1), repeat=n):
-            match, dominated = _frontier_tables(letters)
+            match, cover = _frontier_tables(letters)
             assert match[1] == sum(1 << k for k in range(1, n + 1) if letters[k - 1])
             assert match[0] | match[1] == (1 << (n + 1)) - 2
-            assert dominated == [
+            assert [cover(1 << k2) for k2 in range(n + 1)] == [
                 sum(1 << k for k in range(k2) if letters[k2:] == letters[k:k + n - k2])
                 for k2 in range(n + 1)]
 
@@ -249,11 +249,11 @@ def test_step_antichain_decides_seen(letters, M, data):
     letters = tuple(letters)
     n = len(letters)
     y = data.draw(st.lists(st.integers(0, 1), min_size=n * M, max_size=n * M))
-    match, dominated = _frontier_tables(letters)
+    match, cover = _frontier_tables(letters)
     state = ((0, 1),)
     accepted = False
     for letter in y:
-        state = _step(state, letter, match, dominated, M)
+        state = _step(state, letter, match, cover, M)
         ages = [d for d, _ in state]
         assert ages == sorted(set(ages)) and all(d < M for d in ages)
         ks = [k for _, mask in state for k in range(n + 1) if mask >> k & 1]
@@ -437,3 +437,14 @@ def test_every_prefix_form_gives_the_same_answers(form):
     assert red_grid("10", y)[1:, 1:].tolist() == [[1, 1, 0, 1, 1, 0, 1, 0],
                                                   [0, 0, 1, 0, 0, 1, 0, 1]]
     assert hitting_times("1100", y).tolist() == [[1, 2, 3, 6]]
+
+
+def test_counts_int64_cannot_hold_are_refused():
+    """A count is at most min(2^L, M^n): 0^62 in 124 zeros has all 2^62 gap
+    choices, and one letter more could pass int64, so it is refused."""
+    assert count_embeddings((0,) * 62, np.zeros((1, 124), np.uint8), 2).tolist() == [2 ** 62]
+    for n in (63, 70):  # 2^63 and 2^70 read -2^63 and 0 in int64
+        with pytest.raises(ValueError, match="overflow int64"):
+            count_embeddings((0,) * n, np.zeros((1, 2 * n), np.uint8), 2)
+    with pytest.raises(ValueError, match="overflow int64"):
+        count_embeddings_packed((0,) * 63, 0, 126, 2)

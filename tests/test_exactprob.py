@@ -238,7 +238,7 @@ def test_value_bits_are_refused_before_the_pass(monkeypatch):
         aut.seen_probability(Fraction(1, 2))
 
 
-def _reference_step(state, letter, match, dominated, M):
+def _reference_step(state, letter, match, cover, M):
     """core._step with its earlier per-member pruning: each member not yet
     gone, highest first, adds what it dominates to gone."""
     union = 0
@@ -252,7 +252,7 @@ def _reference_step(state, letter, match, dominated, M):
         bits = mask = mask & ~gone
         while bits:
             k = bits.bit_length() - 1
-            gone |= dominated[k]
+            gone |= cover(1 << k)
             bits &= ~(gone | 1 << k)
         if mask := mask & ~gone:
             out.append((d, mask))
@@ -358,3 +358,20 @@ def test_sweep_budget(monkeypatch):
     monkeypatch.setattr(exactprob, "exact_seen_probability", None)  # never reached
     with pytest.raises(ValueError, match=r"sweep over 2\^21 words exceeds the enumeration budget"):
         max_word_probability(21, 2)
+
+
+def test_prefix_passes_share_the_value_bits_budget(monkeypatch):
+    """prefix_probabilities holds n + 1 values per state, so its budget is
+    n + 1 times seen_probability's."""
+    aut = build_automaton("101", 2)
+    bits = aut.size * 4 * 6 * 2  # n + 1 = 4 values of 6 letters at b = 2
+    monkeypatch.setattr(exactprob, "_VALUE_BITS", bits)
+    assert aut.prefix_probabilities(Fraction(1, 2))[-1] == Fraction(17, 32)
+    monkeypatch.setattr(exactprob, "_VALUE_BITS", bits - 1)
+    with pytest.raises(StateCapExceeded, match=f"exceeds {bits - 1} bits"):
+        aut.prefix_probabilities(Fraction(1, 2))
+    assert aut.seen_probability(Fraction(1, 2)) == Fraction(17, 32)
+    monkeypatch.undo()
+    # 46,002 states of 2 values over 46,000 letters: about 2^33 bits
+    with pytest.raises(StateCapExceeded, match="exceeds 4294967296 bits"):
+        build_automaton("1", 46000).prefix_probabilities(Fraction(1, 2))

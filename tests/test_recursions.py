@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -275,3 +277,11 @@ def test_thm1a_builds_each_suffix_automaton_once(monkeypatch):
     monkeypatch.setattr(exactprob, "build_automaton", counting)
     assert sweeps.sweep_max_word(2, 6).ok
     assert len(calls) == 169
+
+
+def test_no_check_rests_on_assert():
+    """python -O drops assert statements, so the package uses none."""
+    src = pathlib.Path(recursions.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
