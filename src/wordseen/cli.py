@@ -3,20 +3,19 @@
 Every subcommand is deterministic given its flags.  Exact values print as
 num/den plus a 12-digit decimal; --format picks csv (default) or json for
 the tables, while verify prints its plain-text report under either; --out
-redirects to a file.  Exit codes: 0 success, 1 verification failure (a failed
-certificate included), 2 usage error or resource limit.
+FILE is opened before the command runs, as a shell redirect is.  Exit codes:
+0 success, 1 verification failure (a failed certificate included), 2 usage
+error or resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import functools
-import io
 import json
-import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -38,37 +37,17 @@ def _dec(x) -> str:
     return f"{float(x):.12f}"
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _check_out(path: str) -> None:
-    """Refuse an --out that no open can write, before any work is done: a
-    directory, or a file in a directory that does not exist."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-
 def _emit(args, rows: list[dict], doc=None) -> None:
     """Write rows as CSV, headed by the first row's keys, with list cells
     joined by spaces; or write doc, by default the one row, as JSON."""
     if args.format == "json":
-        text = json.dumps(rows[0] if doc is None else doc, sort_keys=True,
-                          indent=2) + "\n"
+        args.stream.write(json.dumps(rows[0] if doc is None else doc,
+                                     sort_keys=True, indent=2) + "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(args.stream, lineterminator="\n")
         writer.writerow(rows[0])
         writer.writerows([" ".join(cell) if isinstance(cell, list) else cell
                           for cell in row.values()] for row in rows)
-        text = buf.getvalue()
-    _write(args, text)
 
 
 def _probability(text: str) -> Fraction:
@@ -139,7 +118,7 @@ def cmd_verify(args) -> int:
     lines = [res.name] + res.details
     lines.append("PASS" if res.ok else
                  f"FAIL ({res.counterexample or 'see details'})")
-    _write(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     return 0 if res.ok else 1
 
 
@@ -310,17 +289,16 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.out:
-            _check_out(args.out)
-        return globals()[f"cmd_{args.command}"](args)
+    try:  # --out is opened, and truncated, before the work, as "> FILE" is
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as args.stream:
+            return globals()[f"cmd_{args.command}"](args)
     except ValueError as err:
         parser.error(str(err))
     except StateCapExceeded as err:
         parser.exit(2, f"{parser.prog}: resource limit: {err}\n")
     except AssertionError as err:  # a certificate a suite does not report itself
         parser.exit(1, f"{parser.prog}: verification failed: {err}\n")
-    except OSError as err:  # --out names a path that cannot be written
+    except OSError as err:  # --out names a path that open refuses
         parser.exit(2, f"{parser.prog}: cannot write output: {err}\n")
 
 

@@ -306,8 +306,7 @@ def seen_within(word: WordLike, prefix: PrefixLike, M: int) -> bool:
     answer only says there is none within the letters given.  Runs the
     bitset kernel seen_packed with the window capped at the prefix length L
     (no gap inside L letters is longer than L): n letters of O(log L)
-    shifts on integers of at most 2L bits, however wide the windows the
-    coupling chain produces.
+    shifts on integers of at most 2L bits.
     """
     w = as_word(word)
     y = as_prefix(prefix)

@@ -209,10 +209,11 @@ def sweep_spacing_equivalences(n_max: int = 6) -> SweepResult:
                     # small spacings see every word
                     if (constant_seen_by_spacings(T[:, :n], M) & ~seen).any():
                         res.fail(f"{tag}: small spacings yet unseen")
-            if Fraction(int(hits[1, 0]), 1 << n * M) != alpha ** n:
-                res.fail(f"M={M}, n={n}: constant count != alpha^n")
-            if Fraction(int(hits[1, 1]), 1 << n * M) != vs[n]:
-                res.fail(f"M={M}, n={n}: alternating count != v_n")
+            for first in (1, 0):  # at p = 1/2 a word and its complement tie
+                if Fraction(int(hits[first, 0]), 1 << n * M) != alpha ** n:
+                    res.fail(f"M={M}, n={n}: constant({first}) count != alpha^n")
+                if Fraction(int(hits[first, 1]), 1 << n * M) != vs[n]:
+                    res.fail(f"M={M}, n={n}: alternating({first}) count != v_n")
         res.note(f"M={M}: all spacing forms match the engine up to n={n_max}")
     example = worked_four_letter_example()
     res.ok = res.ok and example.ok

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +387,65 @@ def test_unwritable_out_is_refused_before_the_suite_runs(monkeypatch, tmp_path,
     assert calls == []
     assert capsys.readouterr().err.startswith("wordseen: cannot write output: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name,err", [("r" * 300, "File name too long"),
+                                      ("r\0.txt", "embedded null byte")],
+                         ids=["long-name", "nul-byte"])
+def test_every_out_open_refuses_exits_before_the_suite_runs(
+        monkeypatch, tmp_path, capsys, name, err):
+    """--out is opened before the command: every path open refuses exits 2
+    without the work, a name too long for the file system and a NUL byte
+    as well as a directory."""
+    calls = []
+    monkeypatch.setattr(sweeps, "sweep_max_word", lambda **kw: calls.append(kw))
+    assert run_error("verify", "thm1a", "--n", "12",
+                     "--out", str(tmp_path / name)) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and err in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_command_refused_after_the_open_leaves_an_empty_out(tmp_path, capsys):
+    """Like "> FILE", --out is created or truncated before the command runs,
+    so a refused command leaves it empty."""
+    target = tmp_path / "r.csv"
+    target.write_text("old\n")
+    assert run_error("exact", "--word", "1", "--M", "3000000",
+                     "--out", str(target)) == 2
+    assert "exceeded 1000000 states" in capsys.readouterr().err
+    assert target.read_bytes() == b""
+
+
+def test_verify_prints_one_report_under_either_format(capsys):
+    """perfbench/checks.check_verify reads verify's text report, PASS last,
+    from jobs run with --format json: the report must not change with it."""
+    plain = run(capsys, "verify", "lemma43")
+    assert plain[0] == 0 and plain[1].endswith("\nPASS\n")
+    assert run(capsys, "verify", "lemma43", "--format", "json") == plain
+
+
+def test_a_wordseen_process_writes_its_out_file_and_exits(tmp_path):
+    """One real process: sys.exit(main()) gives the exit status, and the
+    --out file holds the whole table once the process has ended."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def wordseen(*argv):
+        return subprocess.run([sys.executable, "-m", "wordseen.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    target = tmp_path / "p.csv"
+    done = wordseen("exact", "--word", "1100", "--M", "2", "--out", str(target))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert target.read_text() == ("word,M,p,probability,decimal\n"
+                                  "1100,2,1/2,3/8,0.375000000000\n")
+    done = wordseen("exact", "--word", "1100", "--M", "2", "--out", str(tmp_path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("wordseen: cannot write output: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_a_key_error_in_a_subcommand_is_not_a_usage_error(monkeypatch):

@@ -48,6 +48,22 @@ def test_spacing_sweep_names_the_failing_prefix(monkeypatch):
                                   "disagrees at prefix 10")
 
 
+def test_spacing_sweep_counts_both_first_letters(monkeypatch):
+    """Only the words of 0s see the all-zeros prefix: a scan whose first
+    block drops it passes every criterion, and fails the count of 0."""
+    blocks = sweeps._prefix_blocks
+
+    def without_zeros(L):
+        first, *rest = blocks(L)
+        return [first[1:], *rest]
+
+    monkeypatch.setattr(sweeps, "_prefix_blocks", without_zeros)
+    res = sweeps.sweep_spacing_equivalences(n_max=3)
+    assert not res.ok
+    assert res.counterexample == "M=2, n=1: constant(0) count != alpha^n"
+    assert all("(0) count" in line for line in res.details if "FAIL" in line)
+
+
 def test_spacing_sweep_reports_a_failing_worked_example(monkeypatch):
     """The worked example runs last inside the thm3 sweep; its failure fails
     the sweep and becomes the counterexample when the scans pass."""
