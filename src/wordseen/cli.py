@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_positive)
     p_verify.add_argument("--N", type=_positive)
     p_verify.add_argument("--trials", type=_positive)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=_nonnegative)
 
     p_exact = subs.add_parser("exact", parents=[common],
                               help="exact probability that a word is seen")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=_positive,
                        help="random word length (cross mode)")
     p_sim.add_argument("--trials", type=_positive, default=10 ** 5)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonnegative, default=0)
 
     p_couple = subs.add_parser("couple", parents=[common],
                                help="density-changing chain with certificates")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument("--n", type=_positive, default=32,
                           help="final word length")
     p_couple.add_argument("--trials", type=_positive, default=200)
-    p_couple.add_argument("--seed", type=int, default=0)
+    p_couple.add_argument("--seed", type=_nonnegative, default=0)
     return parser
 
 

@@ -4,15 +4,15 @@ All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
 them with core's lane-packed batch_seen in batches of at most _BATCH_CELLS
-letters, as the coupling chain does its samples.  Each 0/1 draw goes through
-one cache-sized buffer of uniforms (_draw): a few MB whatever `trials` is.
+letters while a worker thread draws the next batch.  Each 0/1 draw goes
+through one cache-sized buffer of uniforms (_fill): a few MB at any `trials`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,15 +51,18 @@ class RngConfig:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _fill(gen: np.random.Generator, p: float, flat: np.ndarray, buf: np.ndarray) -> None:
+    """flat[:] = gen.random(flat.size) < p, drawn in order through buf."""
+    for start in range(0, flat.size, buf.size):
+        np.less(gen.random(out=buf[:flat.size - start]), p, out=flat[start:start + buf.size])
+
+
 def _draw(gen: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
     """0/1 uint8 letters of the given shape, 1 with chance p: the letters of
     (gen.random(shape) < p), drawn through one buffer of at most
     _BATCH_CELLS uniforms."""
     flat = np.empty(math.prod(shape), dtype=bool)
-    buf = np.empty(min(flat.size, _BATCH_CELLS))
-    for start in range(0, flat.size, _BATCH_CELLS):
-        piece = buf[:flat.size - start]
-        np.less(gen.random(out=piece), p, out=flat[start:start + len(piece)])
+    _fill(gen, p, flat, np.empty(min(flat.size, _BATCH_CELLS) or 1))
     return flat.view(np.uint8).reshape(shape)
 
 
@@ -75,22 +78,53 @@ def sample_sequence(p: float, length: int, gen: np.random.Generator) -> np.ndarr
     return _draw(gen, (length,), p)
 
 
-def _estimate_hits(trials: int, M: int, width: int, draw: Callable) -> tuple[float, float]:
-    """Seen rate and its binomial standard error over `trials` trials of
-    `width` sequence letters; draw(rows) gives the next rows' (words, ys) in
-    batches of at most _BATCH_CELLS letters (one trial at least).  A trial
-    wider than _CHUNK_CELLS is refused first."""
+def _estimate_hits(trials: int, M: int, fixed: tuple, draws: list) -> tuple[float, float]:
+    """Seen rate and its binomial standard error over `trials` trials, each
+    batch_seen(*fixed, *rows, M) with a row per (gen, p, cols) of `draws`, the last
+    of sequence letters: at most _BATCH_CELLS per batch (one trial at least).  A
+    worker thread draws batch k + 1 into the other of two buffer sets while this
+    thread scores batch k.  A trial wider than _CHUNK_CELLS is refused first."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    width = draws[-1][2]
     if width == 0:  # the empty word is seen in every trial; nothing is drawn
         return 1.0, 0.0
     if width > _CHUNK_CELLS:
         raise ValueError(f"one trial draws {width} letters, over the budget "
                          f"of {_CHUNK_CELLS}")
-    step = max(1, _BATCH_CELLS // width)
-    hits = 0
-    for start in range(0, trials, step):
-        hits += int(batch_seen(*draw(min(step, trials - start)), M).sum())
+    step = _BATCH_CELLS // width
+    if step < 2:  # one trial per batch: drawn in turn, with no second buffer
+        hits = sum(int(batch_seen(*fixed, *[_draw(g, (1, c), p) for g, p, c in draws], M)[0])
+                   for _ in range(trials))
+    else:
+        sets = [[np.empty((step, cols), dtype=bool) for *_, cols in draws] for _ in "ab"]
+        buf = np.empty(min(step * width, max(1, _BATCH_CELLS // 4)))
+        barrier, errors, hits = threading.Barrier(2), {}, 0
+
+        def work() -> None:
+            try:
+                for k, start in enumerate(range(0, trials, step)):
+                    try:
+                        for (gen, p, _), out in zip(draws, sets[k % 2]):
+                            _fill(gen, p, out[:trials - start].reshape(-1), buf)
+                    except BaseException as exc:  # re-raised at batch k
+                        errors[k] = exc
+                    barrier.wait()
+            except threading.BrokenBarrierError:  # the caller has stopped
+                pass
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        try:
+            for k, start in enumerate(range(0, trials, step)):
+                barrier.wait()
+                if k in errors:
+                    raise errors[k]
+                rows = [out[:trials - start].view(np.uint8) for out in sets[k % 2]]
+                hits += int(batch_seen(*fixed, *rows, M).sum())
+        finally:
+            barrier.abort()
+            worker.join()
     est = hits / trials
     return est, math.sqrt(est * (1 - est) / trials)
 
@@ -115,12 +149,8 @@ def estimate_seen_probability(word: WordLike, M: int, p: float, trials: int,
     w = as_word(word)
     _check_window(M)
     _check_prob(float(p))
-    gen = rng.stream(0)
-
-    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.uint8([w.letters]), _draw(gen, (rows, w.n * M), p)
-
-    est, stderr = _estimate_hits(trials, M, w.n * M, draw)
+    est, stderr = _estimate_hits(trials, M, (np.uint8([w.letters]),),
+                                 [(rng.stream(0), p, w.n * M)])
     return SeenEstimate(str(w), M, float(p), trials, est, stderr, rng.seed)
 
 
@@ -147,13 +177,8 @@ def estimate_x_seen_in_y(M: int, p_x: float, p_y: float, n: int, trials: int,
     _check_prob(float(p_y), "p_y")
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
-    gen_x = rng.stream(1)
-    gen_y = rng.stream(2)
-
-    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return _draw(gen_x, (rows, n), p_x), _draw(gen_y, (rows, n * M), p_y)
-
-    est, stderr = _estimate_hits(trials, M, n * M, draw)
+    est, stderr = _estimate_hits(trials, M, (), [(rng.stream(1), p_x, n),
+                                                 (rng.stream(2), p_y, n * M)])
     return CrossEstimate(M, float(p_x), float(p_y), n, trials, est, stderr, rng.seed)
 
 

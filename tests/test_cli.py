@@ -418,6 +418,23 @@ def test_a_command_refused_after_the_open_leaves_an_empty_out(tmp_path, capsys):
     assert target.read_bytes() == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--word", "10", "--M", "2"),
+    ("couple", "--p-x", "1/2", "--p-y", "1/4"),
+    ("verify", "coupling"),
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_refused_before_out_is_opened(tmp_path, capsys, argv):
+    """--seed is read as a nonnegative integer, so -1 is a usage error that
+    names the flag, raised while parsing: --out is not yet truncated."""
+    target = tmp_path / "r.csv"
+    target.write_text("old\n")
+    assert run_error(*argv, "--seed", "-1", "--out", str(target)) == 2
+    err = capsys.readouterr().err
+    assert f"wordseen {argv[0]}: error: argument --seed: expected a nonnegative " \
+           "integer, got -1\n" in err
+    assert target.read_text() == "old\n"
+
+
 def test_verify_prints_one_report_under_either_format(capsys):
     """perfbench/checks.check_verify reads verify's text report, PASS last,
     from jobs run with --format json: the report must not change with it."""

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -76,6 +78,23 @@ def test_chunked_draws_match_one_shot(monkeypatch):
             assert seq.dtype == np.uint8 and (seq == want).all()
 
 
+def test_draw_ahead_under_frequent_thread_switches(monkeypatch):
+    """With the interpreter switching threads every microsecond, 400 batches
+    of 5 trials drawn one batch ahead score as one draw of all rows: no
+    batch is overwritten while it is scored."""
+    w, trials, M = BinaryWord("1101"), 2000, 3
+    ys = (RngConfig(23).stream(0).random((trials, w.n * M)) < 0.4).astype(np.uint8)
+    want = int(batch_seen(np.uint8([w.letters]), ys, M).sum()) / trials
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert estimate_seen_probability(w, M, 0.4, trials, RngConfig(23)).estimate == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_estimate_memory_is_bounded():
     """Letters are drawn through a cache-sized buffer and scored in small
     batches: the traced peak does not grow with `trials`, and one trial of
@@ -94,6 +113,95 @@ def test_estimate_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= limit_mb << 20
+
+
+def test_estimate_peak_does_not_grow_with_trials():
+    """The next batch is drawn into one of two preallocated buffer sets, one
+    batch ahead: 600,000 trials hold what 200,000 do, where drawing every
+    batch ahead at once would hold all their letters."""
+    estimate_seen_probability("1100011101001010", 4, 0.5, 2, RngConfig(1))  # warm up
+    peaks = []
+    for trials in (200_000, 600_000):
+        tracemalloc.start()
+        try:
+            estimate_seen_probability("1100011101001010", 4, 0.5, trials, RngConfig(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+class _CountingGen:
+    """A generator that records the thread of each draw and raises `error`
+    once `limit` uniforms have been drawn."""
+
+    def __init__(self, gen, limit, error):
+        self.gen, self.left, self.error, self.threads = gen, limit, error, set()
+
+    def random(self, out):
+        self.threads.add(threading.current_thread())
+        if self.left < out.size:
+            raise self.error
+        self.left -= out.size
+        return self.gen.random(out=out)
+
+
+# Both estimates at 64-letter batches: 8 batches of up to 5 trials of 12
+# sequence letters, or 10 of up to 4 trials of 15 letters in cross mode;
+# each full batch draws 60 sequence letters.
+ESTIMATES = [
+    (lambda rng: estimate_seen_probability("1101", 3, 0.4, 37, rng), 5),
+    (lambda rng: estimate_x_seen_in_y(3, 0.3, 0.6, 5, 37, rng), 4),
+]
+
+
+@pytest.mark.parametrize("estimate, rows", ESTIMATES, ids=["word", "cross"])
+def test_a_failed_draw_reraises_and_ends_the_worker(monkeypatch, estimate, rows):
+    """The sequence stream fails on the third batch: the same exception
+    comes out of the estimate after two batches were scored, and the worker
+    thread is gone."""
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 64)
+    error = RuntimeError("no more uniforms")
+    real = RngConfig.stream
+    monkeypatch.setattr(RngConfig, "stream", lambda self, *key: _CountingGen(
+        real(self, *key), 10 ** 9 if key == (1,) else 120, error))
+    scored = []
+    monkeypatch.setattr(montecarlo, "batch_seen",
+                        lambda *args: scored.append(len(args[-2])) or batch_seen(*args))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        estimate(RngConfig(5))
+    assert info.value is error
+    assert scored == [rows, rows]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("estimate, rows", ESTIMATES, ids=["word", "cross"])
+def test_batches_are_scored_on_the_calling_thread(monkeypatch, estimate, rows):
+    """batch_seen runs only on the caller's thread (perfbench's tracer keeps
+    one span stack) and the generators are drawn only on the worker; the
+    estimate is that of one trial per batch, drawn in turn."""
+    gens = []
+    real = RngConfig.stream
+
+    def stream(self, *key):
+        gens.append(_CountingGen(real(self, *key), 10 ** 9, None))
+        return gens[-1]
+
+    monkeypatch.setattr(RngConfig, "stream", stream)
+    threads = []
+    monkeypatch.setattr(montecarlo, "batch_seen",
+                        lambda *args: threads.append(threading.current_thread())
+                        or batch_seen(*args))
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 64)
+    ahead = estimate(RngConfig(5))
+    assert len(threads) == -(-37 // rows)
+    assert set(threads) == {threading.current_thread()}
+    drawn_on = set().union(*(gen.threads for gen in gens))
+    assert len(drawn_on) == 1 and threading.current_thread() not in drawn_on
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 16)  # one trial per batch
+    assert estimate(RngConfig(5)) == ahead
+    assert len(threads) == -(-37 // rows) + 37
 
 
 def test_chain_demo_memory_is_bounded():

@@ -5,8 +5,11 @@ Lemma 4.3 checks still computed in `Fraction`; the `couple`, `verify
 coupling` and `simulate` digests when the coupling chain still ran one
 sample at a time; the `exact`, `maxword`, `thm1a`, `thm3` and `thm4` digests
 when `core._step` still pruned each age group member by member and `cli`
-built a new parser per call.  Any change to a printed value, its format, a
-verdict or a seeded stream moves a digest."""
+built a new parser per call.  The two `simulate` jobs of 600,000 and
+200,000 trials (147 and 19 batches of batch_seen) were recorded when every
+batch was drawn on the calling thread, and pin streams drawn over many
+batches.  Any change to a printed value, its format, a verdict or a seeded
+stream moves a digest."""
 
 import hashlib
 
@@ -52,6 +55,8 @@ DIGESTS = [
     ("verify coupling", 0, "b9ea1851ae49528f0224c2597a20cb9cb7aac618f42f334e6126ef8e7c1b9043"),
     ("simulate --word 1101 --M 3 --trials 5000 --seed 4", 0, "bff4bb5702d1184158bfd012fba469b4e1138b95edad5a65017dad4b3609c8f9"),
     ("simulate --p-x 2/5 --p-y 3/5 --n 5 --M 3 --trials 5000 --seed 4", 0, "93ede0d0244e37ec9a8527aa8d1f8f3c2696dc423e76b0b54212eb328f142bd6"),
+    ("simulate --word 1010111100001110 --M 4 --trials 600000 --seed 1", 0, "1e9a64757882e01753d7fde7610b0463f75383a57e613d55b382501ac0f6b946"),
+    ("simulate --p-x 3/5 --p-y 2/5 --n 8 --M 3 --trials 200000 --seed 1", 0, "8424e509641e97afbfcf9bb6ffe4020c1a5d3ab208bfc9d319018c5f76c62bf3"),
 ]
 
 
