@@ -4,9 +4,9 @@ The streaming frontier of core._step (the youngest age of each prefix length
 that can still be completed, pruned to the members no other member dominates)
 takes finitely many values, so the seen event is a finite automaton over
 sequence letters.  Subset states are discovered by worklist search, ACCEPT
-and DEAD absorb, and the rest of the automaton is acyclic, so one post-order
-pass on an explicit stack (ProbAutomaton._valuate; a cycle raises) values
-every state once, in integers, for the word and for all its prefixes.
+and DEAD absorb, and the rest is acyclic, so one post-order pass on an
+explicit stack (ProbAutomaton._valuate; a cycle raises) values every state
+once, for the word and all its prefixes, as integers over b^(nM) at p = a/b.
 """
 
 from __future__ import annotations
@@ -82,41 +82,36 @@ class ProbAutomaton:
         return value[0]
 
     def seen_probability(self, p: Rational) -> Fraction:
-        """At p = a/b a state is worth A / b^e: ACCEPT (1, 0), DEAD (0, 0), and a
-        state with letter weights (b - a, a) into (A0, e0) and (A1, e1) has
-        e = 1 + max(e0, e1), A = (b - a)*A0*b^(e-1-e0) + a*A1*b^(e-1-e1).
-        Every state is ACCEPT or DEAD by letter n*M, so A < b^e with e <= n*M,
-        and an automaton whose values may outgrow _VALUE_BITS is refused."""
-        a, b = _value_ratio(self.size, self.word.n * self.M, p)
-        w0, powers = b - a, [1]  # powers[k] = b^k
-        def combine(_, v0, v1):
-            (A0, e0), (A1, e1) = v0, v1
-            e = 1 + max(e0, e1)
-            if len(powers) < e:
-                powers.append(powers[-1] * b)
-            return w0 * A0 * powers[e - 1 - e0] + a * A1 * powers[e - 1 - e1], e
-        A, e = self._valuate(lambda s: (int(s == ACCEPT), 0), combine)
-        return Fraction(A, b ** e)
+        """At p = a/b a state is worth V / b^N, N = n*M: ACCEPT b^N, DEAD 0, and a
+        state with letter weights (b - a, a) into V0 and V1 is worth
+        ((b - a)*V0 + a*V1) // b.  The division is exact: every path from the start
+        is ACCEPT or DEAD by letter N, so each state's probability has a denominator
+        dividing b^N.  A valuation that may outgrow _VALUE_BITS is refused."""
+        N = self.word.n * self.M
+        a, b = _value_ratio(self.size, N, p)
+        top, w0 = b ** N, b - a
+        V = self._valuate(lambda s: top if s == ACCEPT else 0,
+                          lambda _, v0, v1: (w0 * v0 + a * v1) // b)
+        return Fraction(V, top)
 
     def prefix_probabilities(self, p: Rational) -> tuple[Fraction, ...]:
         """P(word[:j] is M-seen) for j = 0..n: pruning never changes whether a
         prefix is reached, so this one automaton decides each.  Entry j of a
-        state is b^e if it holds some k >= j (ACCEPT holds n, DEAD none), else
-        the sum of its successors' entries j weighed as in seen_probability:
-        n + 1 integers per state, each as large as seen_probability's."""
-        a, b = _value_ratio(self.size * (self.word.n + 1), self.word.n * self.M, p)
+        state is b^N if it holds some k >= j (ACCEPT holds n, DEAD none), else
+        its successors' entries j combined as in seen_probability, exact by the
+        same argument: n + 1 integers per state, each at most b^N."""
+        N = self.word.n * self.M
+        a, b = _value_ratio(self.size * (self.word.n + 1), N, p)
+        top, w0 = b ** N, b - a
         def combine(state, v0, v1):
-            (A0, e0), (A1, e1) = v0, v1
-            e = 1 + max(e0, e1)
-            s0, s1 = (b - a) * b ** (e - 1 - e0), a * b ** (e - 1 - e1)
             held = max(mask for _, mask in state).bit_length()  # some k >= j for j < held
-            return [b ** e] * held + [s0 * x + s1 * y for x, y in zip(A0[held:], A1[held:])], e
-        A, e = self._valuate(lambda s: ([int(s == ACCEPT)] * (self.word.n + 1), 0), combine)
-        return tuple(Fraction(x, b ** e) for x in A)
+            return [top] * held + [(w0 * x + a * y) // b for x, y in zip(v0[held:], v1[held:])]
+        V = self._valuate(lambda s: [top if s == ACCEPT else 0] * (self.word.n + 1), combine)
+        return tuple(Fraction(x, top) for x in V)
 
 
 def _value_ratio(values: int, letters: int, p: Rational) -> tuple[int, int]:
-    """p as a/b, after refusing a valuation of that many integers, each below
+    """p as a/b, after refusing a valuation of that many integers, each at most
     b^letters, when their bits may outgrow _VALUE_BITS."""
     a, b = _check_prob(Fraction(p)).as_integer_ratio()
     if values * letters * b.bit_length() > _VALUE_BITS:

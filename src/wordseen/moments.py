@@ -287,9 +287,7 @@ def growth_constant(M: int, tol: float = 1e-9) -> GrowthConstant:
                     f"{_MAX_TERMS} terms")
             u.extend(islice(terms, _MORE_TERMS))
 
-    lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2; U(x) -> infinity as x -> 1
-    while verdict(hi) < 0:
-        hi = (1.0 + hi) / 2  # defensive; cannot run away since U diverges
+    lo, hi = 0.0, 1.0 - 1e-12  # U(lo) = 1 < 2 < U(hi), since U diverges as x -> 1
     while (1.0 / lo if lo else float("inf")) - 1.0 / hi > tol / 4:
         mid = (lo + hi) / 2
         if verdict(mid) > 0:

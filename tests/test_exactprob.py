@@ -299,6 +299,16 @@ def test_first_gap_split():
         build_automaton(w, 2, first_gap=3)
 
 
+def test_first_gap_one_is_the_first_letter_then_the_rest():
+    """With the first hit pinned to position 1, the word is seen exactly when
+    Y_1 = w_1 and w[1:] is seen in the letters after it, at any bias."""
+    for p, M, n in itertools.product(map(Fraction, ("1/3", "3/4")), range(1, 5), range(1, 7)):
+        for letters in itertools.product((0, 1), repeat=n):
+            first = p if letters[0] else 1 - p
+            assert (exact_seen_probability(letters, M, p, first_gap=1)
+                    == first * exact_seen_probability(letters[1:], M, p)), (letters, M, p)
+
+
 # ---------------------------------------------------------------------------
 # maximizing words of every length up to n
 # ---------------------------------------------------------------------------
