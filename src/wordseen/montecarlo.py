@@ -4,8 +4,8 @@ All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
 them with core's lane-packed batch_seen in batches of at most _BATCH_CELLS
-letters while a worker thread draws the next batch.  Each 0/1 draw goes
-through one cache-sized buffer of uniforms (_fill): a few MB at any `trials`.
+letters while a worker thread draws the next batch, each 0/1 draw through
+one 512 KB piece of uniforms (_fill): a few MB at any `trials`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .core import (
 # longest sample_sequence.  Wider requests are refused before any draw.
 _CHUNK_CELLS = 1 << 22
 
-# Uniforms per draw piece (2 MB of float64, which fits in cache), and the
-# sequence letters an estimate draws and scores per batch_seen call (one
-# trial at least).  Generator.random fills in order, so the stream and every
-# estimate are the same as for one draw of all letters.
+# Sequence letters an estimate draws and scores per batch_seen call (one
+# trial at least); a quarter of it is the uniforms per draw piece (512 KB of
+# float64, which fits in cache).  Generator.random fills in order, so the
+# stream and every estimate are the same as for one draw of all letters.
 _BATCH_CELLS = 1 << 18
 
 # Stages plan_parameter_path may plan before giving up.
@@ -60,9 +60,9 @@ def _fill(gen: np.random.Generator, p: float, flat: np.ndarray, buf: np.ndarray)
 def _draw(gen: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
     """0/1 uint8 letters of the given shape, 1 with chance p: the letters of
     (gen.random(shape) < p), drawn through one buffer of at most
-    _BATCH_CELLS uniforms."""
+    _BATCH_CELLS // 4 uniforms."""
     flat = np.empty(math.prod(shape), dtype=bool)
-    _fill(gen, p, flat, np.empty(min(flat.size, _BATCH_CELLS) or 1))
+    _fill(gen, p, flat, np.empty(max(1, min(flat.size, _BATCH_CELLS // 4))))
     return flat.view(np.uint8).reshape(shape)
 
 
@@ -82,8 +82,9 @@ def _estimate_hits(trials: int, M: int, fixed: tuple, draws: list) -> tuple[floa
     """Seen rate and its binomial standard error over `trials` trials, each
     batch_seen(*fixed, *rows, M) with a row per (gen, p, cols) of `draws`, the last
     of sequence letters: at most _BATCH_CELLS per batch (one trial at least).  A
-    worker thread draws batch k + 1 into the other of two buffer sets while this
-    thread scores batch k.  A trial wider than _CHUNK_CELLS is refused first."""
+    worker thread draws batch k + 1 through one _fill piece into the other of two
+    buffer sets while this thread scores batch k.  A trial wider than
+    _CHUNK_CELLS is refused first."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     width = draws[-1][2]
@@ -92,39 +93,35 @@ def _estimate_hits(trials: int, M: int, fixed: tuple, draws: list) -> tuple[floa
     if width > _CHUNK_CELLS:
         raise ValueError(f"one trial draws {width} letters, over the budget "
                          f"of {_CHUNK_CELLS}")
-    step = _BATCH_CELLS // width
-    if step < 2:  # one trial per batch: drawn in turn, with no second buffer
-        hits = sum(int(batch_seen(*fixed, *[_draw(g, (1, c), p) for g, p, c in draws], M)[0])
-                   for _ in range(trials))
-    else:
-        sets = [[np.empty((step, cols), dtype=bool) for *_, cols in draws] for _ in "ab"]
-        buf = np.empty(min(step * width, max(1, _BATCH_CELLS // 4)))
-        barrier, errors, hits = threading.Barrier(2), {}, 0
+    step = min(trials, max(1, _BATCH_CELLS // width))
+    sets = [[np.empty((step, cols), dtype=bool) for *_, cols in draws] for _ in "ab"]
+    buf = np.empty(max(1, min(step * width, _BATCH_CELLS // 4)))
+    barrier, errors, hits = threading.Barrier(2), {}, 0
 
-        def work() -> None:
-            try:
-                for k, start in enumerate(range(0, trials, step)):
-                    try:
-                        for (gen, p, _), out in zip(draws, sets[k % 2]):
-                            _fill(gen, p, out[:trials - start].reshape(-1), buf)
-                    except BaseException as exc:  # re-raised at batch k
-                        errors[k] = exc
-                    barrier.wait()
-            except threading.BrokenBarrierError:  # the caller has stopped
-                pass
-
-        worker = threading.Thread(target=work, daemon=True)
-        worker.start()
+    def work() -> None:
         try:
             for k, start in enumerate(range(0, trials, step)):
+                try:
+                    for (gen, p, _), out in zip(draws, sets[k % 2]):
+                        _fill(gen, p, out[:trials - start].reshape(-1), buf)
+                except BaseException as exc:  # re-raised at batch k
+                    errors[k] = exc
                 barrier.wait()
-                if k in errors:
-                    raise errors[k]
-                rows = [out[:trials - start].view(np.uint8) for out in sets[k % 2]]
-                hits += int(batch_seen(*fixed, *rows, M).sum())
-        finally:
-            barrier.abort()
-            worker.join()
+        except threading.BrokenBarrierError:  # the caller has stopped
+            pass
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        for k, start in enumerate(range(0, trials, step)):
+            barrier.wait()
+            if k in errors:
+                raise errors[k]
+            rows = [out[:trials - start].view(np.uint8) for out in sets[k % 2]]
+            hits += int(batch_seen(*fixed, *rows, M).sum())
+    finally:
+        barrier.abort()
+        worker.join()
     est = hits / trials
     return est, math.sqrt(est * (1 - est) / trials)
 

@@ -98,12 +98,16 @@ def test_draw_ahead_under_frequent_thread_switches(monkeypatch):
 def test_estimate_memory_is_bounded():
     """Letters are drawn through a cache-sized buffer and scored in small
     batches: the traced peak does not grow with `trials`, and one trial of
-    2^20 letters holds about its packed lanes and reach array."""
+    2^20 letters, or of the 2^22-letter cap, holds about its two letter
+    buffers, packed lanes and reach array.  A 2^22-letter sample_sequence
+    holds its letters and one 512 KB piece of uniforms."""
     cases = (
         (8, lambda: estimate_seen_probability("1100011101001010", 4, 0.5,
                                               200_000, RngConfig(1))),
         (8, lambda: estimate_x_seen_in_y(3, 0.4, 0.6, 8, 200_000, RngConfig(1))),
         (40, lambda: estimate_seen_probability("1", 2 ** 20, 0.5, 2, RngConfig(1))),
+        (24, lambda: estimate_seen_probability("1", 2 ** 22, 0.5, 1, RngConfig(1))),
+        (5, lambda: sample_sequence(0.5, 2 ** 22, RngConfig(1).stream(0))),
     )
     for limit_mb, estimate in cases:
         tracemalloc.start()
@@ -146,25 +150,38 @@ class _CountingGen:
         return self.gen.random(out=out)
 
 
-# Both estimates at 64-letter batches: 8 batches of up to 5 trials of 12
-# sequence letters, or 10 of up to 4 trials of 15 letters in cross mode;
-# each full batch draws 60 sequence letters.
+@pytest.fixture
+def gens(monkeypatch):
+    """Every stream the estimates open, as a _CountingGen with no limit."""
+    made, real = [], RngConfig.stream
+    monkeypatch.setattr(RngConfig, "stream", lambda self, *key: made.append(
+        _CountingGen(real(self, *key), 10 ** 9, None)) or made[-1])
+    return made
+
+
+# Both estimates, with the sequence letters of one trial (12, and 15 in cross
+# mode), at 64-letter batches (8 batches of up to 5 trials, or 10 of up to 4)
+# and at 8-letter batches, below one trial (37 batches of one trial).
 ESTIMATES = [
-    (lambda rng: estimate_seen_probability("1101", 3, 0.4, 37, rng), 5),
-    (lambda rng: estimate_x_seen_in_y(3, 0.3, 0.6, 5, 37, rng), 4),
+    pytest.param(estimate, width, cells, id=name + suffix)
+    for cells, suffix in ((64, ""), (8, "-one-trial"))
+    for name, estimate, width in (
+        ("word", lambda rng: estimate_seen_probability("1101", 3, 0.4, 37, rng), 12),
+        ("cross", lambda rng: estimate_x_seen_in_y(3, 0.3, 0.6, 5, 37, rng), 15))
 ]
 
 
-@pytest.mark.parametrize("estimate, rows", ESTIMATES, ids=["word", "cross"])
-def test_a_failed_draw_reraises_and_ends_the_worker(monkeypatch, estimate, rows):
+@pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
+def test_a_failed_draw_reraises_and_ends_the_worker(monkeypatch, estimate, width, cells):
     """The sequence stream fails on the third batch: the same exception
     comes out of the estimate after two batches were scored, and the worker
     thread is gone."""
-    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 64)
+    rows = max(1, cells // width)
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
     error = RuntimeError("no more uniforms")
     real = RngConfig.stream
     monkeypatch.setattr(RngConfig, "stream", lambda self, *key: _CountingGen(
-        real(self, *key), 10 ** 9 if key == (1,) else 120, error))
+        real(self, *key), 10 ** 9 if key == (1,) else 2 * rows * width, error))
     scored = []
     monkeypatch.setattr(montecarlo, "batch_seen",
                         lambda *args: scored.append(len(args[-2])) or batch_seen(*args))
@@ -176,32 +193,50 @@ def test_a_failed_draw_reraises_and_ends_the_worker(monkeypatch, estimate, rows)
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("estimate, rows", ESTIMATES, ids=["word", "cross"])
-def test_batches_are_scored_on_the_calling_thread(monkeypatch, estimate, rows):
+@pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
+def test_a_failed_score_reraises_and_ends_the_worker(monkeypatch, gens, estimate, width,
+                                                     cells):
+    """batch_seen fails on the second batch: the same exception comes out of
+    the estimate, the worker is joined, and it drew no batch past the third."""
+    rows = max(1, cells // width)
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
+    error = RuntimeError("scoring failed")
+    scored = []
+
+    def score(*args):
+        scored.append(len(args[-2]))
+        if len(scored) == 2:
+            raise error
+        return batch_seen(*args)
+
+    monkeypatch.setattr(montecarlo, "batch_seen", score)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        estimate(RngConfig(5))
+    assert info.value is error
+    assert scored == [rows, rows]
+    assert threading.active_count() == before
+    assert 10 ** 9 - gens[-1].left <= 3 * rows * width
+
+
+@pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
+def test_batches_are_scored_on_the_calling_thread(monkeypatch, gens, estimate, width,
+                                                  cells):
     """batch_seen runs only on the caller's thread (perfbench's tracer keeps
-    one span stack) and the generators are drawn only on the worker; the
-    estimate is that of one trial per batch, drawn in turn."""
-    gens = []
-    real = RngConfig.stream
-
-    def stream(self, *key):
-        gens.append(_CountingGen(real(self, *key), 10 ** 9, None))
-        return gens[-1]
-
-    monkeypatch.setattr(RngConfig, "stream", stream)
+    one span stack) and the generators are drawn only on the worker, also
+    when a batch is one trial; the estimate is that of unsplit batches."""
+    want = estimate(RngConfig(5))
+    gens.clear()
     threads = []
     monkeypatch.setattr(montecarlo, "batch_seen",
                         lambda *args: threads.append(threading.current_thread())
                         or batch_seen(*args))
-    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 64)
-    ahead = estimate(RngConfig(5))
-    assert len(threads) == -(-37 // rows)
+    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
+    assert estimate(RngConfig(5)) == want
+    assert len(threads) == -(-37 // max(1, cells // width))
     assert set(threads) == {threading.current_thread()}
     drawn_on = set().union(*(gen.threads for gen in gens))
     assert len(drawn_on) == 1 and threading.current_thread() not in drawn_on
-    monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 16)  # one trial per batch
-    assert estimate(RngConfig(5)) == ahead
-    assert len(threads) == -(-37 // rows) + 37
 
 
 def test_chain_demo_memory_is_bounded():
