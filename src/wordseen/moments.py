@@ -19,6 +19,9 @@ from .core import WordLike, _check_window, _prefix_blocks, as_word, count_embedd
 
 # Walk pairs M^(2n) the pair enumerations may visit.
 _PAIR_BUDGET = 4 * 10 ** 6
+# N^2 * M renewal_table may reach: a table costs about N^2 big-integer
+# products (M = 6, N = 400 fits).
+_RENEWAL_BUDGET = 1 << 20
 # Cells (walk pair, step) visits_moment_bruteforce compares at a time.
 _BLOCK_CELLS = 1 << 20
 # Series terms, and ratio steps, growth_constant may take before giving up.
@@ -190,10 +193,14 @@ def renewal_table(M: int, N: int) -> RenewalTable:
     u_n = sum_l P(J_n = l)^2, r_n = sum_{k=1}^n u_k r_{n-k}, r_0 = 1.
 
     Runs on the integers U_n = u_n M^(2n) and R_n = r_n M^(2n), for which
-    the renewal convolution reads R_n = sum_k U_k R_(n-k)."""
+    the renewal convolution reads R_n = sum_k U_k R_(n-k).  N^2*M over
+    _RENEWAL_BUDGET is refused before any row."""
     _check_window(M)
     if N < 0:
         raise ValueError(f"table size must be >= 0, got {N}")
+    if N * N * M > _RENEWAL_BUDGET:
+        raise ValueError(f"a renewal table to n = {N} at M = {M} is over the "
+                         f"budget: N^2*M = {N * N * M} > {_RENEWAL_BUDGET}")
     U = [_left_sum(row * row) for row in islice(_walk_rows(M, 1), N + 1)]
     R = [1]
     for n in range(1, N + 1):

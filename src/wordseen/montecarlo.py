@@ -4,14 +4,13 @@ All randomness flows through RngConfig so identical configurations replay
 identical sample streams.  Estimation draws trials as rows of numpy 0/1
 arrays (row i is trial i, so per-trial draws stay addressable) and decides
 them with core's lane-packed batch_seen in batches of at most _BATCH_CELLS
-letters while a worker thread draws the next batch, each 0/1 draw through
-one 512 KB piece of uniforms (_fill): a few MB at any `trials`.
+letters while a one-thread executor draws the next batch, each 0/1 draw
+through one 512 KB piece of uniforms (_fill): a few MB at any `trials`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,9 +81,13 @@ def _estimate_hits(trials: int, M: int, fixed: tuple, draws: list) -> tuple[floa
     """Seen rate and its binomial standard error over `trials` trials, each
     batch_seen(*fixed, *rows, M) with a row per (gen, p, cols) of `draws`, the last
     of sequence letters: at most _BATCH_CELLS per batch (one trial at least).  A
-    worker thread draws batch k + 1 through one _fill piece into the other of two
-    buffer sets while this thread scores batch k.  A trial wider than
+    one-thread executor draws batch k + 1 through one _fill piece into the other
+    of two buffer sets while this thread scores batch k.  A trial wider than
     _CHUNK_CELLS is refused first."""
+    # Imported here: concurrent.futures loads logging, which would add some
+    # milliseconds to every start-up of the command line.
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     width = draws[-1][2]
@@ -96,32 +99,22 @@ def _estimate_hits(trials: int, M: int, fixed: tuple, draws: list) -> tuple[floa
     step = min(trials, max(1, _BATCH_CELLS // width))
     sets = [[np.empty((step, cols), dtype=bool) for *_, cols in draws] for _ in "ab"]
     buf = np.empty(max(1, min(step * width, _BATCH_CELLS // 4)))
-    barrier, errors, hits = threading.Barrier(2), {}, 0
 
-    def work() -> None:
-        try:
-            for k, start in enumerate(range(0, trials, step)):
-                try:
-                    for (gen, p, _), out in zip(draws, sets[k % 2]):
-                        _fill(gen, p, out[:trials - start].reshape(-1), buf)
-                except BaseException as exc:  # re-raised at batch k
-                    errors[k] = exc
-                barrier.wait()
-        except threading.BrokenBarrierError:  # the caller has stopped
-            pass
+    def fill(k: int) -> list[np.ndarray]:
+        """Batch k, drawn into buffer set k % 2, as uint8 rows."""
+        outs = [out[:trials - k * step] for out in sets[k % 2]]
+        for (gen, p, _), out in zip(draws, outs):
+            _fill(gen, p, out.reshape(-1), buf)
+        return [out.view(np.uint8) for out in outs]
 
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        for k, start in enumerate(range(0, trials, step)):
-            barrier.wait()
-            if k in errors:
-                raise errors[k]
-            rows = [out[:trials - start].view(np.uint8) for out in sets[k % 2]]
+    batches, hits = -(-trials // step), 0
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(fill, 0)
+        for k in range(batches):
+            rows = ahead.result()
+            if k + 1 < batches:
+                ahead = pool.submit(fill, k + 1)
             hits += int(batch_seen(*fixed, *rows, M).sum())
-    finally:
-        barrier.abort()
-        worker.join()
     est = hits / trials
     return est, math.sqrt(est * (1 - est) / trials)
 

@@ -258,9 +258,10 @@ def u_table(M: int, P: int, Q: int) -> TwoBlockTable:
     both of its series expressions (one in sigma', one in sigma) and the two
     must agree entry by entry.
     """
+    grids = _two_block_grids(M, P, Q)
     D = 1 << M * (P + Q)
     return TwoBlockTable(P, Q, *(tuple(tuple(Fraction(x, D) for x in row) for row in grid)
-                                 for grid in _two_block_grids(M, P, Q)))
+                                 for grid in grids))
 
 
 def delta_operator(M: int, grid, p: int, q: int):

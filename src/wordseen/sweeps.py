@@ -25,6 +25,7 @@ from .exactprob import (_check_word_length, build_automaton, exact_seen_probabil
                         max_word_probability)
 from .moments import (
     _GROWTH_MAX_M,
+    _RENEWAL_BUDGET,
     embedding_count_moments,
     expected_embeddings,
     renewal_table,
@@ -331,12 +332,8 @@ def sweep_polynomial_certificates() -> SweepResult:
 # renewal: walk-pair surplus facts
 # ---------------------------------------------------------------------------
 
-# Budget on N^2 * M_max: each renewal table costs about N^2 big-integer
-# products, and one is built for every M <= M_max (--M 6 --N 400 fits).
-_RENEWAL_BUDGET = 1 << 20
-
-
 def sweep_renewal_facts(M_max: int = 6, N: int = 100) -> SweepResult:
+    # a table for every M <= M_max: all are refused before the first is built
     if N * N * M_max > _RENEWAL_BUDGET:
         raise ValueError(f"renewal tables to n = {N} for M <= {M_max} are over "
                          f"the budget: N^2*M = {N * N * M_max} > {_RENEWAL_BUDGET}")

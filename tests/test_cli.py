@@ -48,9 +48,12 @@ def test_vn_long_ratio(capsys):
     assert last.split(",")[-1].startswith("0.9978")
 
 
-def test_vn_rejects_window_one():
+def test_vn_rejects_window_one(capsys):
     assert run_error("vn", "--M", "1", "--N", "3") == 2
     assert run_error("twoblock", "--p", "1", "--q", "1", "--M", "1") == 2
+    capsys.readouterr()
+    assert run_error("twoblock", "--p", "1", "--q", "1", "--M", "-3") == 2
+    assert "window M must be >= 2, got -3" in capsys.readouterr().err
 
 
 def test_vn_over_the_budget_exits_two(monkeypatch, capsys):
@@ -275,6 +278,9 @@ def test_verify_renewal_over_budget_exits_two(monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert ("renewal tables to n = 100000 for M <= 6 are over the budget: "
             "N^2*M = 60000000000 > 1048576" in capsys.readouterr().err)
+    # each table is held to the same budget by renewal_table itself
+    code, out = run(capsys, "verify", "renewal", "--M", "6", "--N", "400")
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
 
     def reached(M, N):
         raise KeyError("renewal table reached")
@@ -463,6 +469,18 @@ def test_a_wordseen_process_writes_its_out_file_and_exits(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("wordseen: cannot write output: ")
     assert done.stderr.count("\n") == 1
+
+
+def test_importing_the_cli_loads_no_executor():
+    """concurrent.futures loads logging, a few milliseconds of every start-up:
+    montecarlo imports the executor only when an estimate runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wordseen.cli; "
+         "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_a_key_error_in_a_subcommand_is_not_a_usage_error(monkeypatch):

@@ -73,6 +73,16 @@ def test_constant_word_wins():
 # renewal side
 # ---------------------------------------------------------------------------
 
+def test_renewal_table_over_the_budget_builds_no_row(monkeypatch):
+    """N^2*M = 800^2 * 6 is over 2^20: refused before the first walk row."""
+    def unreachable(*args):
+        raise AssertionError("walk rows built over the budget")
+
+    monkeypatch.setattr(moments, "_walk_rows", unreachable)
+    with pytest.raises(ValueError, match="N\\^2\\*M = 3840000 > 1048576"):
+        renewal_table(6, 800)
+
+
 def test_renewal_first_values():
     t = renewal_table(2, 4)
     assert t.u[1] == Fraction(1, 2)

@@ -173,50 +173,53 @@ ESTIMATES = [
 
 @pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
 def test_a_failed_draw_reraises_and_ends_the_worker(monkeypatch, estimate, width, cells):
-    """The sequence stream fails on the third batch: the same exception
-    comes out of the estimate after two batches were scored, and the worker
-    thread is gone."""
+    """The sequence stream fails on the third batch, with an Exception or a
+    KeyboardInterrupt (a BaseException only): the same exception comes out
+    of the estimate after two batches were scored, and the worker thread is
+    gone."""
     rows = max(1, cells // width)
     monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
-    error = RuntimeError("no more uniforms")
     real = RngConfig.stream
-    monkeypatch.setattr(RngConfig, "stream", lambda self, *key: _CountingGen(
-        real(self, *key), 10 ** 9 if key == (1,) else 2 * rows * width, error))
-    scored = []
-    monkeypatch.setattr(montecarlo, "batch_seen",
-                        lambda *args: scored.append(len(args[-2])) or batch_seen(*args))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as info:
-        estimate(RngConfig(5))
-    assert info.value is error
-    assert scored == [rows, rows]
-    assert threading.active_count() == before
+    for error in (RuntimeError("no more uniforms"), KeyboardInterrupt()):
+        monkeypatch.setattr(RngConfig, "stream", lambda self, *key, error=error: _CountingGen(
+            real(self, *key), 10 ** 9 if key == (1,) else 2 * rows * width, error))
+        scored = []
+        monkeypatch.setattr(montecarlo, "batch_seen",
+                            lambda *args: scored.append(len(args[-2])) or batch_seen(*args))
+        before = threading.active_count()
+        with pytest.raises(type(error)) as info:
+            estimate(RngConfig(5))
+        assert info.value is error
+        assert scored == [rows, rows]
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
 def test_a_failed_score_reraises_and_ends_the_worker(monkeypatch, gens, estimate, width,
                                                      cells):
-    """batch_seen fails on the second batch: the same exception comes out of
-    the estimate, the worker is joined, and it drew no batch past the third."""
+    """batch_seen fails on the second batch, with an Exception or a
+    KeyboardInterrupt: the same exception comes out of the estimate, the
+    worker is joined, and it drew no batch past the third."""
     rows = max(1, cells // width)
     monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
-    error = RuntimeError("scoring failed")
-    scored = []
+    for error in (RuntimeError("scoring failed"), KeyboardInterrupt()):
+        gens.clear()
+        scored = []
 
-    def score(*args):
-        scored.append(len(args[-2]))
-        if len(scored) == 2:
-            raise error
-        return batch_seen(*args)
+        def score(*args, error=error):
+            scored.append(len(args[-2]))
+            if len(scored) == 2:
+                raise error
+            return batch_seen(*args)
 
-    monkeypatch.setattr(montecarlo, "batch_seen", score)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as info:
-        estimate(RngConfig(5))
-    assert info.value is error
-    assert scored == [rows, rows]
-    assert threading.active_count() == before
-    assert 10 ** 9 - gens[-1].left <= 3 * rows * width
+        monkeypatch.setattr(montecarlo, "batch_seen", score)
+        before = threading.active_count()
+        with pytest.raises(type(error)) as info:
+            estimate(RngConfig(5))
+        assert info.value is error
+        assert scored == [rows, rows]
+        assert threading.active_count() == before
+        assert 10 ** 9 - gens[-1].left <= 3 * rows * width
 
 
 @pytest.mark.parametrize("estimate, width, cells", ESTIMATES)
@@ -224,7 +227,8 @@ def test_batches_are_scored_on_the_calling_thread(monkeypatch, gens, estimate, w
                                                   cells):
     """batch_seen runs only on the caller's thread (perfbench's tracer keeps
     one span stack) and the generators are drawn only on the worker, also
-    when a batch is one trial; the estimate is that of unsplit batches."""
+    when a batch is one trial; the estimate is that of unsplit batches, and
+    the worker is gone when it returns."""
     want = estimate(RngConfig(5))
     gens.clear()
     threads = []
@@ -232,7 +236,9 @@ def test_batches_are_scored_on_the_calling_thread(monkeypatch, gens, estimate, w
                         lambda *args: threads.append(threading.current_thread())
                         or batch_seen(*args))
     monkeypatch.setattr(montecarlo, "_BATCH_CELLS", cells)
+    before = threading.active_count()
     assert estimate(RngConfig(5)) == want
+    assert threading.active_count() == before
     assert len(threads) == -(-37 // max(1, cells // width))
     assert set(threads) == {threading.current_thread()}
     drawn_on = set().union(*(gen.threads for gen in gens))

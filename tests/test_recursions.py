@@ -142,6 +142,16 @@ def test_sigma_running_sums_equal_the_double_sum(M):
             assert table.sigma[p][j] == sigma_closed_form(M, p, j) == fresh
 
 
+def test_u_table_checks_its_arguments_first():
+    """A negative window or grid bound is named, not met as a negative shift
+    in the denominator 2^(M(P+Q))."""
+    with pytest.raises(ValueError, match="window M must be >= 2, got -3"):
+        u_table(-3, 1, 1)
+    for P, Q in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="grid bounds must be >= 0"):
+            u_table(2, P, Q)
+
+
 def test_u_table_sandwich_small():
     t = u_table(2, 4, 4)
     vs = vn_single_recursion(2, 8)
