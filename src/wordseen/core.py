@@ -183,33 +183,47 @@ def _frontier_tables(letters: Bits) -> tuple[tuple[int, int], Callable[[int], in
     return (((1 << (n + 1)) - 2) & ~(word << 1), word << 1), cover
 
 
-def _step(state: tuple, letter: int, match: tuple[int, int], cover: Callable[[int], int],
-          M: int) -> tuple:
-    """One letter of the frontier behind the exact automaton.  A state lists
-    (d, mask) groups, ages ascending, masks nonzero: bit k of mask says the
-    length-k prefix has its youngest end d letters back, with slack M - d
-    for its next gap (a capped origin starts at age M - cap).  Every member
-    attaches the letter, giving the new age-0 group; the older groups age by
-    one, dropping ages >= M.  Walking from the youngest group, a k already
-    kept goes, and so does (k, d) when some (k2, d2) with d2 <= d dominates
-    it.  By transitivity a group's members dominate nothing that the ones
-    it keeps do not, so one cover(mask) per group suffices.  Bit n is
-    left alone in the youngest group when the word is seen, and () means it
-    never will be."""
-    union = 0
-    for _, mask in state:
-        union |= mask
-    out, gone = [], 0
-    for d, mask in ((-1, (union << 1) & match[letter]), *state):
-        d += 1
-        if d >= M:
-            break
-        mask &= ~gone
-        gone |= cover(mask)
-        if mask := mask & ~gone:
-            out.append((d, mask))
-            gone |= mask  # an older group keeps none of these k
-    return tuple(out)
+def _group(d: int, mask: int, M: int) -> int:
+    """A frontier's age group as one int: mask above M.bit_length() bits of age d."""
+    return mask << M.bit_length() | d
+
+
+def _held(state: tuple, M: int) -> int:
+    """One more than the longest prefix length a nonempty frontier holds."""
+    return (max(state) >> M.bit_length()).bit_length()
+
+
+def _step(state: tuple, match: tuple[int, int], cover: Callable[[int], int], M: int) -> tuple:
+    """One letter of the frontier behind the exact automaton: both successors,
+    on 0 and on 1, from one union.  A state lists its age groups (_group), ages
+    ascending, masks nonzero: bit k of mask says the length-k prefix has its
+    youngest end d letters back, with slack M - d for its next gap (a capped
+    origin starts at age M - cap).  Every member attaches the letter, giving the
+    new age-0 group; the older groups age by one, dropping ages >= M.  Walking
+    from the youngest group, a k already kept goes, and so does (k, d) when some
+    (k2, d2) with d2 <= d dominates it.  By transitivity a group's members
+    dominate nothing that the ones it keeps do not, so one cover(m) per group
+    suffices; it never holds m's top bit, so a group with members left keeps one.
+    Bit n alone in the youngest group says the word is seen, () that it never is."""
+    A = M.bit_length()
+    low = (1 << A) - 1
+    union = reduce(or_, state, 0) >> A << 1
+    if state and state[-1] & low == M - 1:  # only the oldest group can reach age M
+        state = state[:-1]
+    hit0, hit1 = union & match[0], union & match[1]
+    gone0, gone1 = cover(hit0), cover(hit1)
+    out0 = [(hit0 & ~gone0) << A] if hit0 else []
+    out1 = [(hit1 & ~gone1) << A] if hit1 else []
+    gone0, gone1 = gone0 | hit0, gone1 | hit1  # the older, disjoint groups keep none
+    for g in state:
+        mask, d = g >> A, (g & low) + 1
+        if m := mask & ~gone0:
+            out0.append((m & ~(c := cover(m))) << A | d)
+            gone0 |= c
+        if m := mask & ~gone1:
+            out1.append((m & ~(c := cover(m))) << A | d)
+            gone1 |= c
+    return tuple(out0), tuple(out1)
 
 
 def _pack(y: np.ndarray) -> int:

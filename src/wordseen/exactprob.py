@@ -1,11 +1,11 @@
 """Exact seen probabilities via a determinized reachability automaton.
 
 The streaming frontier of core._step (the youngest age of each prefix length
-that can still be completed, pruned to the members no other member dominates)
-takes finitely many values, so the seen event is a finite automaton over
-sequence letters.  Subset states are discovered by worklist search, ACCEPT
-and DEAD absorb, and the rest is acyclic, so one post-order pass on an
-explicit stack (ProbAutomaton._valuate; a cycle raises) values every state
+that can still be completed, pruned to the members no other member dominates,
+one int per nonempty age group) takes finitely many values, so the seen event
+is a finite automaton over sequence letters.  Subset states are discovered by
+worklist search, ACCEPT and DEAD absorb, and the rest is acyclic, so one
+post-order pass (ProbAutomaton._valuate; a cycle raises) values every state
 once, for the word and all its prefixes, as integers over b^(nM) at p = a/b.
 """
 
@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .core import (BinaryWord, WordLike, _check_prob, _check_window, _frontier_tables,
-                   _prefix_blocks, _step, as_word, batch_seen)
+                   _group, _held, _prefix_blocks, _step, as_word, batch_seen)
 
 Rational = Union[Fraction, int, str]
 
@@ -45,11 +45,11 @@ class StateCapExceeded(RuntimeError):
 class ProbAutomaton:
     """Determinized seen automaton for one word and window.
 
-    states[i] is either a frontier of core._step, pruned to the members no
-    other member dominates, or one of the absorbing sentinels ACCEPT / DEAD;
-    transitions[i] = (on0, on1) as state indices.  State 0 is the start
-    state.  Every embedding ends by letter n*M, so apart from the sentinels'
-    self-loops the automaton is acyclic.
+    states[i] is either one of the absorbing sentinels ACCEPT / DEAD or a
+    frontier of core._step: a tuple of core._group ints, one per nonempty age
+    group, ages ascending.  transitions[i] = (on0, on1) as state indices.
+    State 0 is the start state.  Every embedding ends by letter n*M, so apart
+    from the sentinels' self-loops the automaton is acyclic.
     """
 
     word: BinaryWord
@@ -65,20 +65,26 @@ class ProbAutomaton:
         """Post-order from the start on an explicit stack: leaf(state) values ACCEPT
         and DEAD, combine(state, value on 0, value on 1) the rest; returns the start's
         value.  A state met again while still open closes a cycle and raises."""
-        value = [leaf(s) if s in (ACCEPT, DEAD) else None for s in self.states]
-        opened, stack = [False] * self.size, [0]
+        states, transitions = self.states, self.transitions
+        value = [leaf(s) if s is ACCEPT or s is DEAD else None for s in states]
+        opened, stack = bytearray(self.size), [0]
         while stack:
             i = stack.pop()
             if value[i] is not None:
                 continue
-            on0, on1 = self.transitions[i]
-            if value[on0] is None or value[on1] is None:
+            on0, on1 = transitions[i]
+            v0, v1 = value[on0], value[on1]
+            if v0 is None or v1 is None:
                 if opened[i]:
                     raise ValueError(f"automaton has a cycle through state {i}")
-                opened[i] = True
-                stack += [i] + [j for j in (on0, on1) if value[j] is None]
+                opened[i] = 1
+                stack.append(i)
+                if v0 is None:
+                    stack.append(on0)
+                if v1 is None:
+                    stack.append(on1)
                 continue
-            value[i] = combine(self.states[i], value[on0], value[on1])
+            value[i] = combine(states[i], v0, v1)
         return value[0]
 
     def seen_probability(self, p: Rational) -> Fraction:
@@ -104,7 +110,7 @@ class ProbAutomaton:
         a, b = _value_ratio(self.size * (self.word.n + 1), N, p)
         top, w0 = b ** N, b - a
         def combine(state, v0, v1):
-            held = max(mask for _, mask in state).bit_length()  # some k >= j for j < held
+            held = _held(state, self.M)  # some k >= j for j < held
             return [top] * held + [(w0 * x + a * y) // b for x, y in zip(v0[held:], v1[held:])]
         V = self._valuate(lambda s: [top if s == ACCEPT else 0] * (self.word.n + 1), combine)
         return tuple(Fraction(x, top) for x in V)
@@ -144,28 +150,28 @@ def build_automaton(word: WordLike, M: int, first_gap: int | None = None) -> Pro
     origin starts at age M - first_gap, so its slack is first_gap.
     """
     w = as_word(word)
-    n = w.n
-    origin_cap = _origin_cap(n, M, first_gap)
+    origin_cap = _origin_cap(w.n, M, first_gap)
     match, cover = _frontier_tables(w.letters)
-    states: list = []
-    index: dict = {}
+    seen = _group(0, 1 << w.n, M)  # _step leaves bit n alone in the youngest group
+    states, index = [], {}
 
     def number(state) -> int:
-        # _step leaves bit n alone in the youngest group: the word is seen
-        state = ACCEPT if state and state[0][1] >> n else state or DEAD
-        i = index.setdefault(state, len(states))
-        if i == len(states):
+        state = ACCEPT if state and state[0] >= seen else state or DEAD
+        if (i := index.get(state)) is None:
+            i = index[state] = len(states)
             if i >= _STATE_CAP:
-                raise _over_cap(n, M)
+                raise _over_cap(w.n, M)
             states.append(state)
         return i
 
-    number(((M - origin_cap, 1),))
+    number((_group(M - origin_cap, 1, M),))
     transitions = []
     for i, state in enumerate(states):  # states grows as the loop finds them
-        transitions.append((i, i) if state in (ACCEPT, DEAD) else (
-            number(_step(state, 0, match, cover, M)),
-            number(_step(state, 1, match, cover, M))))
+        if state is ACCEPT or state is DEAD:
+            transitions.append((i, i))
+        else:
+            on0, on1 = _step(state, match, cover, M)
+            transitions.append((number(on0), number(on1)))
     return ProbAutomaton(w, M, tuple(states), tuple(transitions))
 
 

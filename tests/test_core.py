@@ -9,6 +9,7 @@ from wordseen.core import (
     BinaryWord,
     Embedding,
     _frontier_tables,
+    _group,
     _pack,
     _prefix_blocks,
     _step,
@@ -213,21 +214,24 @@ def test_packed_matches_scalar_exhaustively(M):
 
 
 def test_frontier_walkthrough():
-    """The automaton step: (age, mask) groups of embeddable prefix lengths."""
+    """The automaton step: age groups of embeddable prefix lengths, each one
+    int with its mask above M.bit_length() bits of age, and both successors
+    from one call."""
     match, cover = _frontier_tables((1, 1))
-    start = ((0, 0b1),)                       # the origin, slack M
-    f = _step(start, 0, match, cover, 2)
-    assert f == ((1, 0b1),)                   # the origin, one letter older
-    f = _step(f, 1, match, cover, 2)          # hit at position 2
-    assert f == ((0, 0b10),)
-    f = _step(f, 1, match, cover, 2)
-    assert f == ((0, 0b100),)                 # the whole word is embedded
-    assert _step(start, 0, match, cover, 1) == ()
+    assert _group(0, 0b1, 2) == 0b100 and _group(1, 0b10, 2) == 0b1001
+    start = (0b100,)                          # the origin (age 0, mask 0b1), slack M
+    on0, on1 = _step(start, match, cover, 2)
+    assert on0 == (_group(1, 0b1, 2),)        # the origin, one letter older
     # a hit at position 1 dominates the origin: w[1:] = 1 is a prefix of
     # w[0:] = 11, and the hit is younger
-    assert _step(start, 1, match, cover, 2) == ((0, 0b10),)
+    assert on1 == (_group(0, 0b10, 2),)
+    f = _step(on0, match, cover, 2)[1]        # hit at position 2
+    assert f == (_group(0, 0b10, 2),)
+    f = _step(f, match, cover, 2)[1]
+    assert f == (_group(0, 0b100, 2),)        # the whole word is embedded
+    assert _step((_group(0, 0b1, 1),), match, cover, 1)[0] == ()
     # an origin capped at gap 1 starts at age M - 1 and dies after one miss
-    assert _step(((1, 0b1),), 0, match, cover, 2) == ()
+    assert _step((_group(1, 0b1, 2),), match, cover, 2)[0] == ()
 
 
 def test_dominated_matches_its_definition():
@@ -250,16 +254,17 @@ def test_step_antichain_decides_seen(letters, M, data):
     n = len(letters)
     y = data.draw(st.lists(st.integers(0, 1), min_size=n * M, max_size=n * M))
     match, cover = _frontier_tables(letters)
-    state = ((0, 1),)
+    A = M.bit_length()
+    state = (_group(0, 1, M),)
     accepted = False
     for letter in y:
-        state = _step(state, letter, match, cover, M)
-        ages = [d for d, _ in state]
+        state = _step(state, match, cover, M)[letter]
+        ages = [g & ((1 << A) - 1) for g in state]
         assert ages == sorted(set(ages)) and all(d < M for d in ages)
-        ks = [k for _, mask in state for k in range(n + 1) if mask >> k & 1]
+        ks = [k for g in state for k in range(n + 1) if g >> (A + k) & 1]
         assert len(ks) == len(set(ks))
         if n in ks:
-            assert state == ((0, 1 << n),)
+            assert state == (_group(0, 1 << n, M),)
             accepted = True
             break
     assert accepted == seen_packed(letters, pack(y), n * M, M)

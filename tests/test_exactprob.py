@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 import time
 from fractions import Fraction
 
@@ -238,26 +240,32 @@ def test_value_bits_are_refused_before_the_pass(monkeypatch):
         aut.seen_probability(Fraction(1, 2))
 
 
-def _reference_step(state, letter, match, cover, M):
-    """core._step with its earlier per-member pruning: each member not yet
-    gone, highest first, adds what it dominates to gone."""
+def _reference_step(state, match, cover, M):
+    """core._step with its earlier per-member pruning, one letter at a time:
+    each member not yet gone, highest first, adds what it dominates to gone.
+    Groups are decoded to (d, mask) and encoded back as mask << A | d."""
+    A = M.bit_length()
+    groups = [(g & ((1 << A) - 1), g >> A) for g in state]
     union = 0
-    for _, mask in state:
+    for _, mask in groups:
         union |= mask
-    out, gone = [], 0
-    for d, mask in ((-1, (union << 1) & match[letter]), *state):
-        d += 1
-        if d >= M:
-            break
-        bits = mask = mask & ~gone
-        while bits:
-            k = bits.bit_length() - 1
-            gone |= cover(1 << k)
-            bits &= ~(gone | 1 << k)
-        if mask := mask & ~gone:
-            out.append((d, mask))
-            gone |= mask
-    return tuple(out)
+    successors = []
+    for letter in (0, 1):
+        out, gone = [], 0
+        for d, mask in ((-1, (union << 1) & match[letter]), *groups):
+            d += 1
+            if d >= M:
+                break
+            bits = mask = mask & ~gone
+            while bits:
+                k = bits.bit_length() - 1
+                gone |= cover(1 << k)
+                bits &= ~(gone | 1 << k)
+            if mask := mask & ~gone:
+                out.append(mask << A | d)
+                gone |= mask
+        successors.append(tuple(out))
+    return tuple(successors)
 
 
 def _reference_automaton(monkeypatch, word, M, first_gap=None):
@@ -275,6 +283,28 @@ def test_memoized_cover_matches_per_member_pruning(monkeypatch):
                     aut = build_automaton(letters, M, first_gap=first_gap)
                     assert (aut.states, aut.transitions) == _reference_automaton(
                         monkeypatch, letters, M, first_gap)
+
+
+def test_states_stay_sparse():
+    """A state holds one int per nonempty age group, not a slot per age:
+    its ages rise strictly and stay below M, and its masks are nonzero and
+    disjoint.  The one-letter word at M = 5000 has one group in each state.
+    Capped first gaps are left to test_memoized_cover_matches_per_member_pruning,
+    whose reference step builds each group's int by hand."""
+    for n in range(9):
+        for letters in itertools.product((0, 1), repeat=n):
+            for M in range(1, 5):
+                A = M.bit_length()
+                for state in build_automaton(letters, M).states:
+                    if state is ACCEPT or state is DEAD:
+                        continue
+                    ages = [g & ((1 << A) - 1) for g in state]
+                    masks = [g >> A for g in state]
+                    assert ages == sorted(set(ages)) and ages[-1] < M
+                    assert all(masks) and sum(masks) == functools.reduce(operator.or_, masks)
+    aut = build_automaton("1", 5000)
+    assert aut.size == 5002
+    assert all(len(s) == 1 and type(s[0]) is int for s in aut.states if s not in (ACCEPT, DEAD))
 
 
 def test_no_cover_is_shared_across_words(monkeypatch):
