@@ -498,27 +498,29 @@ def count_embeddings(letters: Bits, ys: np.ndarray, M: int) -> np.ndarray:
     """Number of admissible embeddings inside each 0/1 row of ys (R, L),
     one int64 per row.
 
-    counts[:, m] holds the embeddings of the word's first k letters that
-    end at position m (column 0 is the origin).  The next letter sums the
-    M columns before each position, as differences of one cumsum, and keeps
-    the positions that show it.  An embedding is a set of positions and a
-    choice of n gaps, so every count is at most min(2^L, M^n); int64 is exact
-    up to 2^62, and inputs whose counts could pass that are refused.
+    The counts run position-major, a row per position and a column per
+    prefix.  The first k letters can only end at positions k..min(k*M, L), so
+    only that band is kept: the next letter's band is at most M shifted adds
+    of the last one times the rows that show the letter, and it empties once
+    k passes L.  An embedding is a set of positions and a choice of n gaps,
+    so every count is at most min(2^L, M^n); int64 is exact up to 2^62, and
+    inputs whose counts could pass that are refused.
     """
     R, L = ys.shape
     if min(L, len(letters) * (M - 1).bit_length()) > 62:
         raise ValueError(f"embedding counts of a word of length {len(letters)} in "
                          f"{L} letters at M = {M} may overflow int64")
-    counts = np.zeros((R, L + 1), dtype=np.int64)
-    counts[:, 0] = 1
-    for letter in letters:
-        c = np.cumsum(counts, axis=1)
-        window = c[:, :L]
-        if M < L:
-            window[:, M:] -= c[:, :L - M]
-        counts[:, 0] = 0
-        np.multiply(window, ys == letter, out=counts[:, 1:])
-    return counts.sum(axis=1)
+    rows = np.ascontiguousarray(ys.T)
+    band = np.ones((1, R), dtype=np.int64)  # the empty prefix ends at position 0
+    for k, letter in enumerate(letters):
+        top = min((k + 1) * M, L)
+        nxt = np.zeros((max(top - k, 0), R), dtype=np.int64)
+        for a in range(min(M, top - k)):
+            part = band[:top - k - a]
+            nxt[a:a + len(part)] += part
+        nxt *= rows[k:top] == letter
+        band = nxt
+    return band.sum(axis=0)
 
 
 def count_embeddings_packed(letters: Bits, y: int, L: int, M: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, compress, islice, product
 
 import numpy as np
 
@@ -52,32 +52,35 @@ def second_moment_exact(word: WordLike, M: int) -> Fraction:
     when it overtakes K the two walks swap names, which changes no weight
     because the pair weight is symmetric.  Landing on lead = 0 registers the
     coincidence: factor 2 if the word letters agree, prune if they differ.
-    A branch that can no longer coincide after t steps counts once for each
-    of the M^(2n-t) ways to finish, and the pair sum is divided by 4^n once.
+    A step or a swap leaves lead in [0, M], and after t steps r + s = t, so
+    level t is one list indexed by r and then lead, entry r*(M+1) + lead.  A
+    branch that can no longer coincide after t steps counts once for each of
+    the M^(2n-t) ways to finish, and the pair sum is divided by 4^n once.
     """
     w = as_word(word)
     _check_window(M)
     n = w.n
     letters = w.letters
-    level = {(0, 0, 0): 1}
+    W = M + 1
+    level = [1]
     done = 0
     for t in range(2 * n + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (r, s, lead), count in level.items():
+        nxt = [0] * ((min(t + 1, n) + 1) * W)
+        for i in compress(range(len(level)), level):  # the reached states
+            count = level[i]
+            r, lead = divmod(i, W)
+            s = t - r
             if r == n or (lead == 0 and s == n):
                 done += count * M ** (2 * n - t)
                 continue
-            for a in range(1, M + 1):
-                new, piece = lead - a, count
-                if new < 0:
-                    key = (s, r + 1, -new)
-                elif new > 0:
-                    key = (r + 1, s, new)
+            for a in range(1, W):
+                new = lead - a
+                if new < 0:  # (s, r + 1, -new)
+                    nxt[s * W - new] += count
+                elif new > 0:  # (r + 1, s, new)
+                    nxt[i + W - a] += count
                 elif letters[r] == letters[s - 1]:
-                    key, piece = (r + 1, s, 0), 2 * count
-                else:
-                    continue
-                nxt[key] = nxt.get(key, 0) + piece
+                    nxt[i + W - a] += 2 * count
         level = nxt
     return Fraction(done, 4 ** n)
 

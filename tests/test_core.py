@@ -213,6 +213,25 @@ def test_packed_matches_scalar_exhaustively(M):
                             embeddings)
 
 
+@pytest.mark.parametrize("M", [1, 4, 5])
+def test_count_band_matches_enumeration(M):
+    """The banded counts at the window's edges and at lengths where the band
+    empties before the word ends (L < n, and M > L)."""
+    for n in range(0, 4):
+        if n * M > 12:
+            continue
+        for L in sorted({0, max(n - 1, 0), max(n * M - 1, 0), n * M, n * M + 1}):
+            ys = np.concatenate(list(_prefix_blocks(L)))
+            before = ys.copy()
+            for letters in itertools.product((0, 1), repeat=n):
+                counts = count_embeddings(letters, ys, M)
+                assert counts.dtype == np.int64 and counts.shape == (1 << L,)
+                for val in range(1 << L):
+                    y = [(val >> i) & 1 for i in range(L)]
+                    assert counts[val] == len(list(enumerate_embeddings(letters, y, M)))
+            assert np.array_equal(ys, before)
+
+
 def test_frontier_walkthrough():
     """The automaton step: age groups of embeddable prefix lengths, each one
     int with its mask above M.bit_length() bits of age, and both successors

@@ -54,6 +54,14 @@ def test_walk_dp_equals_pairsum(M):
             assert second_moment_exact(w, M) == second_moment_pairsum(w, M)
 
 
+@pytest.mark.parametrize("M", [1, 5])
+def test_walk_dp_equals_pairsum_at_edge_windows(M):
+    for n in range(0, 4):
+        for letters in itertools.product((0, 1), repeat=n):
+            w = BinaryWord(letters)
+            assert second_moment_exact(w, M) == second_moment_pairsum(w, M)
+
+
 def test_second_moment_at_least_mean_square():
     for M in (2, 3):
         for n in range(1, 5):
